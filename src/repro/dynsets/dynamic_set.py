@@ -10,8 +10,13 @@ of streaming ("We can return information to the user more quickly by
 yielding partial information").
 
 Semantically this layer implements the paper's weakest design point
-(Figure 6's optimistic behaviour), backed by the prefetch engine for
-performance.
+(Figure 6's optimistic behaviour).  For performance it is backed by a
+:class:`~repro.store.fetchplan.FetchPipeline` in *engine mode*: failures
+retry internally on a timer (until ``give_up_after``, if set) and
+results stream in arrival order, so the first member arrives after
+roughly *one* fetch, not after all of them.  That delivers the paper's
+"fetching files in parallel, fetching 'closer' files first, and
+fetching all accessible files despite network failures".
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from typing import Any, Generator, Optional
 
 from ..errors import SimulationError
 from ..net.address import NodeId
+from ..store.fetchplan import FetchPipeline, FetchResult
 from ..store.repository import Repository
 from ..store.world import World
 from .filesystem import FileSystem
-from .prefetch import PrefetchEngine, PrefetchResult
 
 __all__ = ["DynSetHandle", "set_open", "set_open_dir"]
 
@@ -49,50 +54,51 @@ class DynSetHandle:
         # historical behaviour; use_cache is never a default's accident).
         self.batch_size = batch_size
         self.use_cache = use_cache
-        self.engine: Optional[PrefetchEngine] = None
+        self.pipeline: Optional[FetchPipeline] = None
         self.opened_at: Optional[float] = None
         self.first_result_at: Optional[float] = None
         self.closed = False
-        self.results: list[PrefetchResult] = []
+        self.results: list[FetchResult] = []
 
     # ------------------------------------------------------------------
     def open(self) -> Generator[Any, Any, "DynSetHandle"]:
         """Read the membership and start prefetching (setOpen)."""
-        if self.engine is not None:
+        if self.pipeline is not None:
             raise SimulationError("dynamic set opened twice")
         self.opened_at = self.repo.world.now
         view = yield from self.repo.read_membership(
             self.coll_id, source=self.membership_source
         )
+        self.pipeline = FetchPipeline(
+            self.repo, use_cache=self.use_cache, window=self.parallelism,
+            batch_size=self.batch_size, in_order=False,
+            closest_first=self.closest_first,
+            retry_interval=self.retry_interval,
+            give_up_after=self.give_up_after,
+            name=f"prefetch-{self.repo.client}")
         # name order, not raw frozenset order: the set's iteration order
         # leaks the process-global oid counter and hash seed, which made
         # the closest_first=False ablation nondeterministic across runs
-        self.engine = PrefetchEngine(
-            self.repo, sorted(view.members, key=lambda e: e.name),
-            parallelism=self.parallelism,
-            retry_interval=self.retry_interval,
-            give_up_after=self.give_up_after,
-            closest_first=self.closest_first,
-            batch_size=self.batch_size,
-            use_cache=self.use_cache,
-        )
-        self.engine.start()
+        self.pipeline.submit(sorted(view.members, key=lambda e: e.name))
+        self.pipeline.seal()       # fixed work-list: workers exit when done
+        self.pipeline.start()
         return self
 
-    def iterate(self) -> Generator[Any, Any, Optional[PrefetchResult]]:
+    def iterate(self) -> Generator[Any, Any, Optional[FetchResult]]:
         """Next member as soon as one is available (setIterate).
 
-        Returns None once every member has been fetched, skipped, or
-        given up on.  Skipped/gave-up results are filtered out — the
-        caller sees only successfully materialized members (use
-        ``engine.skipped`` / ``engine.gave_up`` for the accounting).
+        Returns None once every member has been fetched, found gone, or
+        given up on.  Gone and unreachable results are filtered out —
+        the caller sees only successfully materialized members (see
+        :attr:`results`, or ``pipeline.gone`` / ``pipeline.gave_up``, for
+        the accounting).
         """
-        if self.engine is None:
+        if self.pipeline is None:
             raise SimulationError("setIterate before setOpen")
         if self.closed:
             raise SimulationError("setIterate after setClose")
         while True:
-            result = yield from self.engine.next_result()
+            result = yield from self.pipeline.next_result()
             if result is None:
                 return None
             self.results.append(result)
@@ -101,9 +107,9 @@ class DynSetHandle:
                     self.first_result_at = self.repo.world.now
                 return result
 
-    def iterate_all(self, limit: Optional[int] = None) -> Generator[Any, Any, list[PrefetchResult]]:
+    def iterate_all(self, limit: Optional[int] = None) -> Generator[Any, Any, list[FetchResult]]:
         """Drain the set (optionally the first ``limit`` members)."""
-        out: list[PrefetchResult] = []
+        out: list[FetchResult] = []
         while limit is None or len(out) < limit:
             result = yield from self.iterate()
             if result is None:
@@ -117,8 +123,8 @@ class DynSetHandle:
         Closing early is cheap and expected — e.g. the user found the
         restaurant they wanted after three menus.
         """
-        if self.engine is not None:
-            self.engine.stop()
+        if self.pipeline is not None:
+            self.pipeline.stop()
         self.closed = True
 
     # -- statistics ------------------------------------------------------
@@ -129,7 +135,7 @@ class DynSetHandle:
         return self.first_result_at - self.opened_at
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else ("open" if self.engine else "new")
+        state = "closed" if self.closed else ("open" if self.pipeline else "new")
         return f"DynSetHandle({self.coll_id}, {state}, {len(self.results)} results)"
 
 

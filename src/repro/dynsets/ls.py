@@ -102,11 +102,10 @@ def weak_ls(fs: FileSystem, client: NodeId, path: str, *,
         for r in fetched:
             kind = getattr(r.value, "kind", "file")
             result.entries.append(LsEntry(r.element.name, kind, r.fetched_at))
-        if handle.engine is not None:
-            for r in handle.results:
-                if r.gave_up:
-                    result.entries.append(
-                        LsEntry(r.element.name, "unavailable", r.fetched_at))
+        for r in handle.results:
+            if r.unreachable:
+                result.entries.append(
+                    LsEntry(r.element.name, "unavailable", r.fetched_at))
     finally:
         handle.close()
     result.finished_at = fs.world.now

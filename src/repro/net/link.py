@@ -2,8 +2,8 @@
 
 The paper's setting is a wide-area system where "fetching 'closer' files
 first" is a meaningful optimization, so links carry an explicit latency
-model; the dynamic-sets prefetcher (``repro.dynsets.prefetch``) uses
-estimated latency as its proximity metric.
+model; the fetch planner (``repro.store.fetchplan``) uses estimated
+latency as its proximity metric.
 """
 
 from __future__ import annotations

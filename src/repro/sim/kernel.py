@@ -8,11 +8,11 @@ reproducible given (code, seed).
 
 Tie-breaking is by a monotonically increasing sequence number, so two
 actions scheduled for the same instant run in scheduling order —
-determinism does not depend on container internals.  The scheduler
-structure itself is pluggable (see :mod:`repro.sim.sched`): the default
-is the timer-wheel/slotted-heap hybrid; ``Kernel(scheduler="heap")``
-selects the original binary heap, kept as the reference for
-differential determinism tests and throughput baselines.
+determinism does not depend on container internals.  The queue is the
+timer-wheel/slotted-heap hybrid of :mod:`repro.sim.sched`; the frozen
+seed kernel (:mod:`repro.sim._seed_kernel`) is the reference that
+differential determinism tests and the E22a throughput gate compare it
+against.
 
 The event loop dispatches same-instant events as one *batch*: the
 scheduler surfaces every entry stamped with the next virtual time at
@@ -34,7 +34,6 @@ the semantic reference for what one step means.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from typing import Any, Callable, Generator, Optional, Union
 
@@ -44,7 +43,7 @@ from .clock import Clock
 from .events import Fork, Join, Now, Signal, Sleep, Wait
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
-from .sched import EventScheduler, _Scheduled, make_scheduler
+from .sched import EventScheduler, WheelScheduler, _Scheduled
 from .tracing import TraceLog
 
 __all__ = ["Kernel"]
@@ -57,14 +56,11 @@ _WAITING = ProcessState.WAITING
 class Kernel:
     """Discrete-event scheduler driving generator-based processes."""
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 scheduler: Union[str, EventScheduler, None] = None):
+    def __init__(self, seed: int = 0, trace: bool = False):
         self.clock = Clock()
         self.random = RandomRouter(seed)
         self.trace = TraceLog(enabled=trace, clock=self.clock)
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHED") or None
-        self._sched: EventScheduler = make_scheduler(scheduler)
+        self._sched: EventScheduler = WheelScheduler()
         self._seq = itertools.count()
         self._processes: list[Process] = []
         self._running: Optional[Process] = None
@@ -88,10 +84,6 @@ class Kernel:
     @property
     def now(self) -> float:
         return self.clock.now
-
-    @property
-    def scheduler_name(self) -> str:
-        return self._sched.name
 
     @property
     def current_process(self) -> Optional["Process"]:

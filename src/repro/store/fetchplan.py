@@ -1,4 +1,4 @@
-"""The batched, pipelined fetch engine behind every element read path.
+"""The pipeline core, and the batched fetch engine behind every element read.
 
 Every iterator variant used to issue one ``get_object`` RPC per element
 per invocation — a full WAN round-trip per member, exactly the serial
@@ -6,10 +6,20 @@ cost the paper's weak semantics exist to avoid.  This module factors the
 *traversal mechanics* out of the *iteration semantics* (the split
 argued for by Agarwal et al.'s linearizable iterators and Krishna et
 al.'s visibility-based specifications): iterators keep deciding *what*
-may be yielded; the :class:`FetchPipeline` decides *how* the bytes get
-here.
+may be yielded; a pipeline decides *how* the bytes move.
 
-Two pieces:
+Three pieces:
+
+:class:`PipelineCore`
+    The engine both batched pipelines share — :class:`FetchPipeline`
+    here and :class:`~repro.store.writeplan.WritePipeline`.  It owns the
+    lifecycle (``start``/``stop``/``seal``, the ``<prefix>.pipeline``
+    span, worker spawn with span adoption), the worker loop, consumer
+    and idle-worker wake-ups, the one AIMD admission rule, the limiter
+    feedback, the ``Fork``/``Join`` fan-out barrier, and the
+    ``<prefix>.batch.{calls,elements,coalesced,size,latency}``
+    instruments.  A subclass supplies only how a batch is formed and
+    how it is moved.
 
 :class:`FetchPlanner`
     Orders candidate elements (closest-first, or an application
@@ -18,13 +28,16 @@ Two pieces:
     prefetch engine each had a private copy).
 
 :class:`FetchPipeline`
-    A sliding window of in-flight fetches that overlaps RPCs with
-    iterator suspends.  Same-home candidates are coalesced into one
-    batched ``get_objects`` multi-get (one service-time charge and one
-    round-trip for the whole batch); transport failures fall back to
-    replica copies via batched ``get_objects_replica``, closest replica
-    first.  Per-call resilience (retries, deadlines, circuit breakers)
-    applies per *batch* through ``Repository._call``.
+    The read side of the core: a sliding window of in-flight fetches
+    that overlaps RPCs with iterator suspends.  Same-home candidates are
+    coalesced into one batched ``get_objects`` multi-get (one
+    service-time charge and one round-trip for the whole batch);
+    transport failures fall back to replica copies via batched
+    ``get_objects_replica``, closest replica first.  Per-call resilience
+    (retries, deadlines, circuit breakers) applies per *batch* through
+    ``Repository._call``.  On top of the core it adds the planner,
+    pop-time validation against the freshness epoch, replica failover,
+    and engine-mode retries (the dynamic-sets prefetch contract).
 
 Soundness — why buffering across invocations cannot invent elements:
 
@@ -61,7 +74,7 @@ from ..errors import (CircuitOpenFailure, DisconnectedError, FailureException,
 from ..net.address import NodeId
 from ..net.resilience import TRANSPORT_FAILURES
 from ..net.wire import unwrap
-from ..sim.events import Signal, Sleep, Wait
+from ..sim.events import Fork, Join, Signal, Sleep, Wait
 from .elements import Element, ObjectId
 from .server import ObjectServer
 
@@ -123,6 +136,164 @@ def order_closest_first(net, origin: NodeId,
     return sorted(elements, key=key)
 
 
+class PipelineCore:
+    """Window, workers, wake-ups and admission shared by both pipelines.
+
+    ``window`` is how many worker processes run; ``_cap`` bounds how
+    many *items* may be inside workers at once.  A subclass sets
+    ``prefix`` (its span and metric namespace) and supplies:
+
+    * ``_form_batch(budget)`` — pop at most ``budget`` items and count
+      them into ``_in_flight``; ``None`` when there is nothing to take;
+    * ``_execute(batch)`` — move them, releasing their slots as they
+      leave the pipeline's hands;
+    * ``_drained()`` — nothing queued and nothing in flight, so a
+      sealed pipeline's workers may exit;
+    * ``_span_totals()`` — the counters the pipeline span closes with.
+    """
+
+    prefix = ""
+
+    def __init__(self, repo: "Repository", *, window: int, batch_size: int,
+                 name: str):
+        self.repo = repo
+        self.world = repo.world
+        self.window = max(1, window)
+        self.batch_size = max(1, batch_size)
+        self.name = name or f"{self.prefix}-{repo.client}"
+        self._cap = self.window
+        self._in_flight = 0
+        self._sealed = False
+        self._stopped = False
+        self._procs: list = []
+        self._waiters: list[Signal] = []              # blocked consumers
+        self._idle: list[Signal] = []                 # idle workers
+        self._work_signal = f"{self.prefix}-work"
+        #: what an idle worker yields instead of waiting for a kick —
+        #: set by a pipeline whose work comes due by time, not by event
+        self._idle_effect: Optional[Sleep] = None
+        self._span = None
+        self._span_attrs = {"window": self.window, "batch": self.batch_size,
+                            "client": str(repo.client)}
+        # -- observability (instruments pre-resolved, hot-path idiom) ---
+        obs = repo.obs
+        self._tracer = obs.tracer
+        metrics = obs.metrics
+        prefix = self.prefix
+        self._m_calls = metrics.counter(f"{prefix}.batch.calls")
+        self._m_elements = metrics.counter(f"{prefix}.batch.elements")
+        self._m_coalesced = metrics.counter(f"{prefix}.batch.coalesced")
+        self._m_size = metrics.histogram(f"{prefix}.batch.size")
+        self._m_latency = metrics.histogram(f"{prefix}.batch.latency")
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Open the pipeline span and spawn the workers.
+
+        Worker processes adopt the caller's active span as their base
+        parent (the same adoption ``Fork`` performs for hedged RPC
+        attempts), so batch RPCs issued from a worker still trace back
+        to the ``drain`` or bulk call that caused them.
+        """
+        if self._procs or self._stopped:
+            return
+        kernel = self.world.kernel
+        self._span = self._tracer.start(f"{self.prefix}.pipeline",
+                                        **self._span_attrs)
+        creator = kernel.current_process
+        for i in range(self.window):
+            proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
+                                daemon=True)
+            if creator is not None:
+                self._tracer.adopt(proc, creator)
+            self._procs.append(proc)
+
+    def stop(self) -> None:
+        """Kill the workers and close the span."""
+        if self._stopped:
+            return
+        self._stopped = True
+        for proc in self._procs:
+            proc._kill()
+        self._procs.clear()
+        if self._span is not None:
+            self._tracer.finish(self._span, **self._span_totals())
+            self._span = None
+
+    def seal(self) -> None:
+        """Promise no further submissions; lets workers exit once
+        everything has settled."""
+        self._sealed = True
+        self._kick_workers()
+
+    # ------------------------------------------------------------------
+    # workers
+    # ------------------------------------------------------------------
+    def _worker(self) -> Generator:
+        while not self._stopped:
+            # The one admission rule.  The AIMD window is a *cap*, not a
+            # floor: congestion shrinks the in-flight budget below the
+            # static cap, and a batch never takes more than is left.
+            limiter = self.repo.limiter
+            cap = self._cap if limiter is None else min(self._cap,
+                                                        limiter.window)
+            batch = self._form_batch(cap - self._in_flight)
+            if batch is None:
+                if self._sealed and self._drained():
+                    return
+                if self._idle_effect is not None:
+                    yield self._idle_effect
+                else:
+                    signal = Signal(name=self._work_signal)
+                    self._idle.append(signal)
+                    yield Wait(signal)
+                continue
+            yield from self._execute(batch)
+
+    def _fan_out(self, children: list[tuple[str, Generator]]) -> Generator:
+        """Run ``(name, generator)`` children concurrently and wait for
+        every one of them (the barrier).  A lone child runs inline."""
+        if len(children) == 1:
+            yield from children[0][1]
+            return
+        procs = []
+        for name, child in children:
+            procs.append((yield Fork(child, name=name, daemon=True)))
+        for proc in procs:
+            yield Join(proc)
+
+    def _feed_limiter(self, exc: Optional[BaseException],
+                      latency: float) -> None:
+        """Report one batch-RPC outcome to the client's AIMD window.
+
+        Sheds and timeouts are congestion evidence (multiplicative
+        decrease); clean completions are room-to-grow evidence
+        (additive increase).  Other failures — crash, partition,
+        application errors — say nothing about *load* and feed nothing.
+        """
+        limiter = self.repo.limiter
+        if limiter is None:
+            return
+        if exc is None:
+            limiter.on_success(latency, self.world.now)
+        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
+            limiter.on_overload(self.world.now)
+
+    def _wake_waiters(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for signal in waiters:
+            if not signal.fired:
+                signal.fire(None)
+
+    def _kick_workers(self) -> None:
+        idle, self._idle = self._idle, []
+        for signal in idle:
+            if not signal.fired:
+                signal.fire(None)
+
+
 class FetchPlanner:
     """Orders fetch candidates and picks hosts for the pipeline."""
 
@@ -177,7 +348,7 @@ class FetchResult:
         return self.status == "unreachable"
 
 
-class FetchPipeline:
+class FetchPipeline(PipelineCore):
     """Sliding-window batched fetcher shared by every iterator variant.
 
     ``window`` bounds in-flight *elements*; ``batch_size`` bounds how
@@ -199,6 +370,8 @@ class FetchPipeline:
     the caller's semantic choice, never an accident of a default.
     """
 
+    prefix = "fetch"
+
     def __init__(self, repo: "Repository", *, use_cache: bool,
                  window: int = 8, batch_size: int = 4,
                  max_batch_bytes: Optional[int] = None,
@@ -213,12 +386,9 @@ class FetchPipeline:
             raise ValueError(
                 f"unknown validation mode {validation!r}; pick one of "
                 f"{VALIDATION_MODES}")
-        self.repo = repo
-        self.world = repo.world
+        super().__init__(repo, window=window, batch_size=batch_size, name=name)
         self.planner = FetchPlanner(repo, closest_first=closest_first,
                                     priority=priority)
-        self.window = max(1, window)
-        self.batch_size = max(1, batch_size)
         # Byte-aware coalescing: cap each multi-get's estimated *reply*
         # bytes alongside the item cap.  The client does not know object
         # sizes before fetching, so ``size_hint`` supplies the estimate
@@ -232,7 +402,10 @@ class FetchPipeline:
         self.in_order = in_order
         self.retry_interval = retry_interval
         self.give_up_after = give_up_after
-        self.name = name or f"fetch-{repo.client}"
+        if retry_interval is not None:
+            # Engine mode polls (retries are time-based) — the same
+            # cadence the old prefetch engine used.
+            self._idle_effect = Sleep(retry_interval / 2)
         # -- work state ------------------------------------------------
         self._todo: deque[Element] = deque()
         self._retry: deque[tuple[float, Element]] = deque()
@@ -241,14 +414,7 @@ class FetchPipeline:
         self._settled: dict[ObjectId, FetchResult] = {}
         self._order: deque[ObjectId] = deque()        # delivery order
         self._arrivals: deque[ObjectId] = deque()     # settle order
-        self._in_flight = 0
         self._batches_issued = 0
-        self._sealed = False
-        self._stopped = False
-        self._procs: list = []
-        self._waiters: list[Signal] = []              # blocked consumers
-        self._idle: list[Signal] = []                 # idle workers
-        self._span = None
         self._unsubscribe: Optional[Callable[[], None]] = None
         # -- the freshness epoch (see module docstring) -----------------
         self._epoch = 0
@@ -258,13 +424,7 @@ class FetchPipeline:
         self.gave_up = 0
         self.retries = 0
         self.cache_hits = 0
-        # -- observability (instruments pre-resolved, hot-path idiom) ---
-        obs = repo.obs
-        self._tracer = obs.tracer
-        metrics = obs.metrics
-        self._m_calls = metrics.counter("fetch.batch.calls")
-        self._m_elements = metrics.counter("fetch.batch.elements")
-        self._m_coalesced = metrics.counter("fetch.batch.coalesced")
+        metrics = repo.obs.metrics
         self._m_ok = metrics.counter("fetch.batch.ok")
         self._m_gone = metrics.counter("fetch.batch.gone")
         self._m_unreachable = metrics.counter("fetch.batch.unreachable")
@@ -272,56 +432,27 @@ class FetchPipeline:
         self._m_cache_hits = metrics.counter("fetch.batch.cache_hits")
         self._m_probes = metrics.counter("fetch.batch.probes")
         self._m_retries = metrics.counter("fetch.batch.retries")
-        self._m_size = metrics.histogram("fetch.batch.size")
-        self._m_latency = metrics.histogram("fetch.batch.latency")
         self._m_fetch_latency = metrics.histogram("repo.fetch_latency")
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open the pipeline span, subscribe the epoch, spawn workers.
-
-        Worker processes adopt the caller's active span as their base
-        parent (the same adoption ``Fork`` performs for hedged RPC
-        attempts), so batch RPCs issued from a worker still trace back
-        to the ``drain`` that caused them.
-        """
-        if self._procs or self._stopped:
-            return
-        kernel = self.world.kernel
-        self._span = self._tracer.start(
-            "fetch.pipeline", window=self.window, batch=self.batch_size,
-            client=str(self.repo.client))
-        self._unsubscribe = self.world.on_change(self._on_world_change)
-        creator = kernel.current_process
-        for i in range(self.window):
-            proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
-                                daemon=True)
-            if creator is not None:
-                kernel.obs.tracer.adopt(proc, creator)
-            self._procs.append(proc)
+        """Subscribe the freshness epoch, then start the core."""
+        if not (self._procs or self._stopped):
+            self._unsubscribe = self.world.on_change(self._on_world_change)
+        super().start()
 
     def stop(self) -> None:
-        """Kill the workers, drop the epoch listener, close the span."""
-        if self._stopped:
-            return
-        self._stopped = True
-        for proc in self._procs:
-            proc._kill()
-        self._procs.clear()
+        """Stop the core and drop the epoch listener."""
+        super().stop()
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        if self._span is not None:
-            self._tracer.finish(self._span, fetched=self.fetched,
-                                gone=self.gone, gave_up=self.gave_up)
-            self._span = None
 
-    def seal(self) -> None:
-        """Promise no further :meth:`submit`; lets engine-mode workers
-        exit once everything has settled (prefetch-engine contract)."""
-        self._sealed = True
+    def _span_totals(self) -> dict:
+        return {"fetched": self.fetched, "gone": self.gone,
+                "gave_up": self.gave_up}
 
     def _on_world_change(self) -> None:
         self._epoch += 1
@@ -484,32 +615,10 @@ class FetchPipeline:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def _worker(self) -> Generator:
-        while not self._stopped:
-            batch = self._form_batch()
-            if batch is None:
-                if (self._sealed and not self._todo and not self._retry
-                        and self._in_flight == 0):
-                    return
-                if self.retry_interval is not None:
-                    # Engine mode polls (retries are time-based) — the
-                    # same cadence the old prefetch engine used.
-                    yield Sleep(self.retry_interval / 2)
-                else:
-                    signal = Signal(name="fetch-work")
-                    self._idle.append(signal)
-                    yield Wait(signal)
-                continue
-            yield from self._execute(batch)
+    def _drained(self) -> bool:
+        return not self._todo and not self._retry and self._in_flight == 0
 
-    def _form_batch(self) -> Optional[list[Element]]:
-        window = self.window
-        limiter = self.repo.limiter
-        if limiter is not None:
-            # The AIMD window is a *cap*, not a floor: congestion shrinks
-            # the effective in-flight budget below the static window.
-            window = min(window, limiter.window)
-        budget = window - self._in_flight
+    def _form_batch(self, budget: int) -> Optional[list[Element]]:
         if budget <= 0:
             return None
         head: Optional[Element] = None
@@ -683,23 +792,6 @@ class FetchPipeline:
             unresolved.extend(remaining)
         return unresolved
 
-    def _feed_limiter(self, exc: Optional[FailureException],
-                      latency: float) -> None:
-        """Report one batch outcome to the client's AIMD window.
-
-        Sheds and timeouts are congestion evidence (multiplicative
-        decrease); clean completions are room-to-grow evidence
-        (additive increase).  Other failures — crash, partition,
-        application errors — say nothing about *load* and feed nothing.
-        """
-        limiter = self.repo.limiter
-        if limiter is None:
-            return
-        if exc is None:
-            limiter.on_success(latency, self.world.now)
-        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
-            limiter.on_overload(self.world.now)
-
     def _element_failed(self, element: Element, exc: FailureException) -> None:
         if self.retry_interval is None:
             # Iterator mode: the iterator owns the retry policy.
@@ -752,17 +844,8 @@ class FetchPipeline:
             self._in_flight -= 1
         self._settled[oid] = result
         self._arrivals.append(oid)
-        waiters, self._waiters = self._waiters, []
-        for signal in waiters:
-            if not signal.fired:
-                signal.fire(None)
+        self._wake_waiters()
         self._kick_workers()             # window budget freed
-
-    def _kick_workers(self) -> None:
-        idle, self._idle = self._idle, []
-        for signal in idle:
-            if not signal.fired:
-                signal.fire(None)
 
     def __repr__(self) -> str:
         return (f"FetchPipeline({self.name}, window={self.window}, "

@@ -4,24 +4,26 @@
 trips per element — home put, then each replica put one at a time, then
 the membership registration — so populating the sets the paper's
 iterators drain dominates every experiment's wall-clock.  This module is
-the write-side twin of :mod:`repro.store.fetchplan`: the same
-window/batch machinery, pointed at the opposite half of the protocol.
+the write side of :class:`~repro.store.fetchplan.PipelineCore`: the
+core's workers, admission rule, wake-ups, fan-out barrier and batch
+instruments, pointed at the opposite half of the protocol.
 
 Two pieces:
 
 :class:`WritePlanner`
-    Groups pending operations into batches and coalesces each batch's
+    Forms batches (an item cap plus an optional byte cap that stops at
+    the first operation that does not fit) and coalesces each batch's
     object puts by destination node — every distinct destination gets
     one ``put_objects`` multi-put RPC carrying all of its copies.
 
 :class:`WritePipeline`
-    A sliding window of in-flight batches.  An *add* moves through two
-    stages: first its object copies are written — one ``put_objects``
-    per destination, all destinations issued **concurrently** (parallel
-    ``Fork`` children joined by a barrier) instead of the serial replica
-    loop — and only once every copy has acked does the element advance
-    to the membership stage, where same-primary registrations coalesce
-    into one ``add_members`` batch RPC.  A *remove* goes straight to a
+    What write adds to the core is a two-stage queue.  An *add* first
+    has its object copies written — one ``put_objects`` per
+    destination, all destinations issued **concurrently** through the
+    core's fan-out barrier instead of the serial replica loop — and only
+    once every copy has acked does the element advance to the
+    membership stage, where registrations are grouped by owning shard
+    into ``add_members`` batch RPCs.  A *remove* goes straight to a
     ``remove_members`` batch (the primary owns copy deletion, under its
     own WAL intent).  On the server each batch RPC executes under a
     single WAL intent with per-item steps (group commit): a crash
@@ -56,12 +58,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
-from ..errors import (FailureException, ServerBusyFailure, StoreError,
-                      TimeoutFailure, WrongShardFailure)
+from ..errors import FailureException, StoreError, WrongShardFailure
 from ..net.address import NodeId
 from ..net.wire import Blob
-from ..sim.events import Fork, Join, Signal, Wait
+from ..sim.events import Signal, Wait
 from .elements import Element, ObjectId
+from .fetchplan import PipelineCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .repository import Repository
@@ -133,14 +135,17 @@ class WritePlanner:
         body = op.spec.size if op.spec is not None else 0
         return _OP_OVERHEAD_BYTES + max(0, body)
 
-    def form(self, queue: deque) -> list:
-        """Pop up to one batch's worth of operations off ``queue``."""
+    def form(self, queue: deque, limit: Optional[int] = None) -> list:
+        """Pop up to one batch's worth of operations off ``queue`` —
+        at most ``limit`` of them, when the caller's admission budget
+        is below the item cap."""
+        if limit is None or limit > self.batch_size:
+            limit = self.batch_size
         if self.max_batch_bytes is None:
-            return [queue.popleft()
-                    for _ in range(min(self.batch_size, len(queue)))]
+            return [queue.popleft() for _ in range(min(limit, len(queue)))]
         batch: list = []
         budget = self.max_batch_bytes
-        while queue and len(batch) < self.batch_size:
+        while queue and len(batch) < limit:
             cost = self.op_cost(queue[0])
             if batch and cost > budget:
                 break
@@ -168,7 +173,7 @@ class WritePlanner:
         return groups
 
 
-class WritePipeline:
+class WritePipeline(PipelineCore):
     """Sliding-window batched writer for one collection.
 
     ``window`` is the number of concurrent batch workers (how many
@@ -178,89 +183,36 @@ class WritePipeline:
     minus the serial replica loop, which is always fanned out.
     """
 
+    prefix = "write"
+
     def __init__(self, repo: "Repository", coll_id: str, *,
                  window: int = 4, batch_size: int = 8,
                  max_batch_bytes: Optional[int] = None, name: str = ""):
-        self.repo = repo
-        self.world = repo.world
+        super().__init__(repo, window=window, batch_size=batch_size, name=name)
         self.coll_id = coll_id
-        self.window = max(1, window)
+        self._span_attrs["coll"] = coll_id
+        # Every worker may carry a whole batch, so the static cap on ops
+        # inside workers is window x batch; only the AIMD window binds.
+        self._cap = self.window * self.batch_size
         self.planner = WritePlanner(batch_size, max_batch_bytes)
-        self.batch_size = self.planner.batch_size
         self.max_batch_bytes = self.planner.max_batch_bytes
-        self.name = name or f"write-{repo.client}"
         # -- work state ------------------------------------------------
         self._ops: list[_WriteOp] = []           # submission order
         self._put_todo: deque[_WriteOp] = deque()     # adds awaiting puts
         self._member_todo: deque[_WriteOp] = deque()  # adds, puts all acked
         self._remove_todo: deque[_WriteOp] = deque()
-        self._active = 0                         # ops inside a worker
-        self._sealed = False
-        self._stopped = False
-        self._procs: list = []
-        self._waiters: list[Signal] = []         # blocked drain()
-        self._idle: list[Signal] = []            # idle workers
-        self._span = None
         # -- counters ---------------------------------------------------
         self.added = 0
         self.removed = 0
         self.failed = 0
-        # -- observability (instruments pre-resolved, hot-path idiom) ---
-        obs = repo.obs
-        self._tracer = obs.tracer
-        metrics = obs.metrics
-        self._m_calls = metrics.counter("write.batch.calls")
-        self._m_elements = metrics.counter("write.batch.elements")
-        self._m_coalesced = metrics.counter("write.batch.coalesced")
+        metrics = repo.obs.metrics
         self._m_acked = metrics.counter("write.batch.acked")
         self._m_failed = metrics.counter("write.batch.failed")
-        self._m_size = metrics.histogram("write.batch.size")
         self._m_fanout = metrics.histogram("write.batch.fanout")
-        self._m_latency = metrics.histogram("write.batch.latency")
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Open the pipeline span and spawn the batch workers.
-
-        Workers adopt the caller's active span as their base parent
-        (the fetch pipeline's adoption idiom), so batch RPCs issued
-        from a worker still trace back to the bulk call that caused
-        them.
-        """
-        if self._procs or self._stopped:
-            return
-        kernel = self.world.kernel
-        self._span = self._tracer.start(
-            "write.pipeline", window=self.window, batch=self.batch_size,
-            client=str(self.repo.client), coll=self.coll_id)
-        creator = kernel.current_process
-        for i in range(self.window):
-            proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
-                                daemon=True)
-            if creator is not None:
-                kernel.obs.tracer.adopt(proc, creator)
-            self._procs.append(proc)
-
-    def stop(self) -> None:
-        """Kill the workers and close the span."""
-        if self._stopped:
-            return
-        self._stopped = True
-        for proc in self._procs:
-            proc._kill()
-        self._procs.clear()
-        if self._span is not None:
-            self._tracer.finish(self._span, added=self.added,
-                                removed=self.removed, failed=self.failed)
-            self._span = None
-
-    def seal(self) -> None:
-        """Promise no further submissions; lets workers exit once every
-        operation has settled."""
-        self._sealed = True
-        self._kick_workers()
+    def _span_totals(self) -> dict:
+        return {"added": self.added, "removed": self.removed,
+                "failed": self.failed}
 
     # ------------------------------------------------------------------
     # submission
@@ -304,49 +256,38 @@ class WritePipeline:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def _worker(self) -> Generator:
-        while not self._stopped:
-            batch = self._next_batch()
-            if batch is None:
-                if self._sealed and self._exhausted():
-                    return
-                signal = Signal(name="write-work")
-                self._idle.append(signal)
-                yield Wait(signal)
-                continue
-            kind, ops = batch
-            self._active += len(ops)
-            try:
-                if kind == "put":
-                    yield from self._execute_puts(ops)
-                elif kind == "add":
-                    yield from self._execute_add_members(ops)
-                else:
-                    yield from self._execute_remove_members(ops)
-            finally:
-                self._active -= len(ops)
-            self._kick_workers()
-
-    def _exhausted(self) -> bool:
+    def _drained(self) -> bool:
         return (not self._put_todo and not self._member_todo
-                and not self._remove_todo and self._active == 0)
+                and not self._remove_todo and self._in_flight == 0)
 
-    def _next_batch(self) -> Optional[tuple[str, list[_WriteOp]]]:
-        limiter = self.repo.limiter
-        if limiter is not None and self._active >= limiter.window:
-            # AIMD congestion gate: the client's adaptive window caps
-            # how many operations may be inside workers at once, below
-            # the static worker count when servers are shedding.
+    def _form_batch(self, budget: int
+                    ) -> Optional[tuple[str, list[_WriteOp]]]:
+        if budget <= 0:
             return None
         # Finish started work first: membership registrations complete
         # operations (and free drain() waiters) fastest.
         if self._member_todo:
-            return "add", self.planner.form(self._member_todo)
-        if self._remove_todo:
-            return "remove", self.planner.form(self._remove_todo)
-        if self._put_todo:
-            return "put", self.planner.form(self._put_todo)
-        return None
+            kind, queue = "add", self._member_todo
+        elif self._remove_todo:
+            kind, queue = "remove", self._remove_todo
+        elif self._put_todo:
+            kind, queue = "put", self._put_todo
+        else:
+            return None
+        ops = self.planner.form(queue, budget)
+        self._in_flight += len(ops)
+        return kind, ops
+
+    def _execute(self, batch: tuple[str, list[_WriteOp]]) -> Generator:
+        kind, ops = batch
+        try:
+            if kind == "put":
+                yield from self._execute_puts(ops)
+            else:
+                yield from self._execute_members(ops, kind)
+        finally:
+            self._in_flight -= len(ops)
+        self._kick_workers()
 
     # -- stage 1: object puts, destination-coalesced, concurrent ---------
     def _execute_puts(self, ops: list[_WriteOp]) -> Generator:
@@ -364,20 +305,12 @@ class WritePipeline:
         span = self._tracer.start("write.batch", kind="put", n=len(ops),
                                   fanout=len(groups))
         outcomes: dict[NodeId, Optional[FailureException]] = {}
-        if len(groups) == 1:
-            dest, entries = next(iter(groups.items()))
+        children = []
+        for dest, entries in sorted(groups.items()):
             self._m_coalesced.value += len(entries) - 1
-            yield from self._put_child(dest, entries, outcomes)
-        else:
-            children = []
-            for dest, entries in sorted(groups.items()):
-                self._m_coalesced.value += len(entries) - 1
-                child = yield Fork(
-                    self._put_child(dest, entries, outcomes),
-                    name=f"{self.name}-put-{dest}", daemon=True)
-                children.append(child)
-            for child in children:        # the barrier
-                yield Join(child)
+            children.append((f"{self.name}-put-{dest}",
+                             self._put_child(dest, entries, outcomes)))
+        yield from self._fan_out(children)
         self._tracer.finish(
             span, failed=sum(1 for e in outcomes.values() if e is not None))
         self._m_latency.observe(self.world.now - issued_at)
@@ -405,28 +338,8 @@ class WritePipeline:
         self._feed_limiter(None, self.world.now - issued_at)
         outcomes[dest] = None
 
-    def _feed_limiter(self, exc: Optional[BaseException],
-                      latency: float) -> None:
-        """Report one batch-RPC outcome to the client's AIMD window
-        (the fetch pipeline's congestion-evidence rule: sheds and
-        timeouts shrink it, clean completions grow it)."""
-        limiter = self.repo.limiter
-        if limiter is None:
-            return
-        if exc is None:
-            limiter.on_success(latency, self.world.now)
-        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
-            limiter.on_overload(self.world.now)
-
     # -- stage 2: membership registration, group-committed ----------------
-    def _execute_add_members(self, ops: list[_WriteOp]) -> Generator:
-        yield from self._execute_member_batches(ops, "add_members", "add")
-
-    def _execute_remove_members(self, ops: list[_WriteOp]) -> Generator:
-        yield from self._execute_member_batches(ops, "remove_members", "remove")
-
-    def _execute_member_batches(self, ops: list[_WriteOp], rpc: str,
-                                kind: str) -> Generator:
+    def _execute_members(self, ops: list[_WriteOp], kind: str) -> Generator:
         """Register (or remove) a batch's memberships, grouped by owner.
 
         Against a single home this is exactly one group-committed batch
@@ -438,6 +351,7 @@ class WritePipeline:
         over between planning and serve time — re-resolves the live map
         and re-issues only the bounced sub-batch (bounded retries).
         """
+        rpc = f"{kind}_members"
         pending = list(ops)
         last_bounce: Optional[WrongShardFailure] = None
         for _ in range(3):
@@ -446,19 +360,10 @@ class WritePipeline:
                 owner = self.repo.owner_of(self.coll_id, op.element.name)
                 groups.setdefault(owner, []).append(op)
             outcomes: dict[NodeId, Optional[BaseException]] = {}
-            if len(groups) == 1:
-                owner, group = next(iter(groups.items()))
-                yield from self._member_child(owner, group, rpc, kind,
-                                              outcomes)
-            else:
-                children = []
-                for owner, group in sorted(groups.items()):
-                    child = yield Fork(
-                        self._member_child(owner, group, rpc, kind, outcomes),
-                        name=f"{self.name}-{kind}-{owner}", daemon=True)
-                    children.append(child)
-                for child in children:          # the barrier
-                    yield Join(child)
+            yield from self._fan_out([
+                (f"{self.name}-{kind}-{owner}",
+                 self._member_child(owner, group, rpc, kind, outcomes))
+                for owner, group in sorted(groups.items())])
             pending = []
             for owner, group in sorted(groups.items()):
                 exc = outcomes[owner]
@@ -529,16 +434,7 @@ class WritePipeline:
         else:
             self._m_failed.value += 1
             self.failed += 1
-        waiters, self._waiters = self._waiters, []
-        for signal in waiters:
-            if not signal.fired:
-                signal.fire(None)
-
-    def _kick_workers(self) -> None:
-        idle, self._idle = self._idle, []
-        for signal in idle:
-            if not signal.fired:
-                signal.fire(None)
+        self._wake_waiters()
 
     def __repr__(self) -> str:
         return (f"WritePipeline({self.name}, coll={self.coll_id!r}, "

@@ -48,8 +48,7 @@ def build_mirror(seed: int = 0, *, n_sites: int = 4, site_size: int = 2,
                  fault_plan: Optional[FaultPlan] = None) -> MirrorWorkload:
     """Build the mirror network and its package tree."""
     kernel = Kernel(seed=seed)
-    # 500 kB/s on every link: the old World(bandwidth=...) transfer
-    # charge, now modeled where it belongs — on the wire.
+    # 500 kB/s on every link: object transfers are charged on the wire.
     topo = wan_clusters([site_size] * n_sites,
                         intra_latency=FixedLatency(0.003),
                         inter_latency=FixedLatency(0.070),

@@ -1,49 +1,65 @@
-"""Tests for the prefetch engine and the setOpen/setIterate/setClose API."""
+"""Tests for engine-mode prefetching and the setOpen/setIterate/setClose API.
+
+``DynSetHandle`` drives a :class:`FetchPipeline` in engine mode: a fixed,
+sealed work list, internal timed retries, arrival-order delivery.  Tests
+that need a work list other than the collection's current membership (a
+stale list, an application priority hint) build that pipeline directly.
+"""
 
 
-from repro.dynsets import PrefetchEngine, set_open
 from repro.net import FixedLatency, Network, wan_clusters
+from repro.dynsets import set_open
 from repro.sim import Kernel, Sleep
-from repro.store import Repository, World
+from repro.store import FetchPipeline, Repository, World
 
 from helpers import CLIENT, standard_world
 
 
+def open_engine(repo, elements, *, parallelism, **kwargs):
+    """An engine-mode pipeline over a fixed work list, as setOpen builds it."""
+    kwargs.setdefault("retry_interval", 0.5)
+    pipe = FetchPipeline(repo, use_cache=False, window=parallelism,
+                         batch_size=1, in_order=False, **kwargs)
+    pipe.submit(elements)
+    pipe.seal()
+    pipe.start()
+    return pipe
+
+
+def drain(pipe):
+    out = []
+    while True:
+        r = yield from pipe.next_result()
+        if r is None:
+            return out
+        out.append(r)
+
+
+def open_and_drain(world, client, **kwargs):
+    """setOpen over the world's "coll", drain it, return the handle."""
+    def proc():
+        handle = yield from set_open(world, client, "coll", **kwargs)
+        yield from handle.iterate_all()
+        handle.close()
+        return handle
+
+    return world.kernel.run_process(proc())
+
+
 def test_prefetch_fetches_everything():
     kernel, net, world, elements = standard_world(members=8)
-    repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=4)
-    engine.start()
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
-
-    results = kernel.run_process(consume())
-    assert len(results) == len(elements)
-    assert all(r.ok for r in results)
-    assert {r.element for r in results} == set(elements)
+    handle = open_and_drain(world, CLIENT, parallelism=4)
+    assert len(handle.results) == len(elements)
+    assert all(r.ok for r in handle.results)
+    assert {r.element for r in handle.results} == set(elements)
 
 
 def test_parallelism_speeds_up_fetching():
     def run(parallelism):
         kernel, net, world, elements = standard_world(
             members=12, service_time=0.05)
-        repo = Repository(world, CLIENT)
-        engine = PrefetchEngine(repo, elements, parallelism=parallelism)
-        engine.start()
-
-        def consume():
-            while True:
-                r = yield from engine.next_result()
-                if r is None:
-                    return kernel.now
-
-        return kernel.run_process(consume())
+        open_and_drain(world, CLIENT, parallelism=parallelism)
+        return kernel.now
 
     sequential = run(1)
     parallel = run(6)
@@ -55,70 +71,48 @@ def test_closest_first_ordering():
     topo = wan_clusters([3, 3], FixedLatency(0.002), FixedLatency(0.3))
     net = Network(kernel, topo)
     world = World(net)
-    world.create_collection("c", primary="n0.0")
-    near = world.seed_member("c", "near", value=1, home="n0.1")
-    far = world.seed_member("c", "far", value=2, home="n1.1")
-    repo = Repository(world, "n0.2")
-    engine = PrefetchEngine(repo, [far, near], parallelism=1)
-    engine.start()
-
-    def consume():
-        first = yield from engine.next_result()
-        second = yield from engine.next_result()
-        return first.element, second.element
-
-    first, second = kernel.run_process(consume())
-    assert first == near and second == far
+    world.create_collection("coll", primary="n0.0")
+    near = world.seed_member("coll", "near", value=1, home="n0.1")
+    far = world.seed_member("coll", "far", value=2, home="n1.1")
+    handle = open_and_drain(world, "n0.2", parallelism=1)
+    assert [r.element for r in handle.results] == [near, far]
 
 
 def test_retry_recovers_after_heal():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
-    net.isolate("s1")
-    repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=3, retry_interval=0.2)
-    engine.start()
 
     def healer():
         yield Sleep(2.0)
         net.heal()
 
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
+    def proc():
+        # Open while s0 (the primary) is reachable, then cut s1 off.
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=3,
+                                     retry_interval=0.2)
+        net.isolate("s1")
+        kernel.spawn(healer(), daemon=True)
+        got = yield from handle.iterate_all()
+        handle.close()
+        return handle, got
 
-    kernel.spawn(healer(), daemon=True)
-    results = kernel.run_process(consume())
-    assert all(r.ok for r in results)
-    assert len(results) == 6
-    assert engine.retries > 0
+    handle, got = kernel.run_process(proc())
+    assert len(got) == 6
+    assert all(r.ok for r in handle.results)
+    assert handle.pipeline.retries > 0
 
 
 def test_give_up_reports_unreachable():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
     net.crash("s1")
-    repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=3,
+    handle = open_and_drain(world, CLIENT, parallelism=3,
                             retry_interval=0.2, give_up_after=1.5)
-    engine.start()
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
-
-    results = kernel.run_process(consume())
+    results = handle.results
     assert len(results) == 6
     ok = [r for r in results if r.ok]
-    gave_up = [r for r in results if r.gave_up]
-    assert {r.element.home for r in gave_up} == {"s1"}
+    unreachable = [r for r in results if r.unreachable]
+    assert {r.element.home for r in unreachable} == {"s1"}
     assert len(ok) == 4
+    assert handle.pipeline.gave_up == 2
 
 
 def test_skipped_for_removed_members():
@@ -128,19 +122,23 @@ def test_skipped_for_removed_members():
     def proc():
         # remove one member, then prefetch from the (now stale) list
         yield from repo.remove("coll", elements[0])
-        engine = PrefetchEngine(repo, elements, parallelism=2)
-        engine.start()
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out, engine
-            out.append(r)
+        pipe = open_engine(repo, elements, parallelism=2)
+        return (yield from drain(pipe)), pipe
 
-    results, engine = kernel.run_process(proc())
-    skipped = [r for r in results if r.skipped]
-    assert [r.element for r in skipped] == [elements[0]]
-    assert engine.skipped == 1
+    results, pipe = kernel.run_process(proc())
+    gone = [r for r in results if r.gone]
+    assert [r.element for r in gone] == [elements[0]]
+    assert pipe.gone == 1
+
+
+def test_batch_size_coalesces_same_home_fetches():
+    kernel, net, world, elements = standard_world(n_servers=1, members=8)
+    handle = open_and_drain(world, CLIENT, parallelism=4, batch_size=4)
+    assert len(handle.results) == 8 and all(r.ok for r in handle.results)
+    metrics = kernel.obs.metrics
+    assert metrics.value("fetch.batch.elements") == 8
+    assert metrics.value("fetch.batch.calls") < 8
+    assert metrics.value("fetch.batch.coalesced") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +210,9 @@ def test_priority_hint_overrides_ordering():
     kernel, net, world, elements = standard_world(members=6)
     repo = Repository(world, CLIENT)
     # hint: reverse-alphabetical
-    engine = PrefetchEngine(repo, elements, parallelism=1,
-                            priority=lambda e: tuple(-ord(c) for c in e.name))
-    engine.start()
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r.element.name)
-
-    names = kernel.run_process(consume())
+    pipe = open_engine(repo, elements, parallelism=1,
+                       priority=lambda e: tuple(-ord(c) for c in e.name))
+    names = [r.element.name for r in kernel.run_process(drain(pipe))]
     assert names == sorted(names, reverse=True)
 
 
@@ -238,17 +226,7 @@ def test_priority_hint_smallest_first():
         sizes[e.oid] = size
         elements.append(e)
     repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=1,
-                            priority=lambda e: sizes[e.oid])
-    engine.start()
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(sizes[r.element.oid])
-
-    order = kernel.run_process(consume())
+    pipe = open_engine(repo, elements, parallelism=1,
+                       priority=lambda e: sizes[e.oid])
+    order = [sizes[r.element.oid] for r in kernel.run_process(drain(pipe))]
     assert order == sorted(order)   # smallest first => fastest first yield

@@ -1,9 +1,8 @@
 """Finite-bandwidth links: FIFO queuing, byte-capped batching, presets.
 
-Satellites of E25: the wire model replaces the old
-``World(bandwidth=...)`` server-side transfer charge, byte counters and
-queue delay are first-class metrics, and both pipelines respect
-``max_batch_bytes``.
+Satellites of E25: link bandwidth charges object transfers on the
+wire, byte counters and queue delay are first-class metrics, and both
+pipelines respect ``max_batch_bytes``.
 """
 
 from collections import deque
@@ -13,15 +12,13 @@ import pytest
 from repro.net import (
     BANDWIDTH_PRESETS,
     FixedLatency,
-    Network,
     WireFormat,
     apply_bandwidth_preset,
     full_mesh,
 )
 from repro.net.link import Link
 from repro.net.topology import wan_clusters
-from repro.sim import Kernel
-from repro.store import Repository, World
+from repro.store import Repository
 from repro.store.writeplan import AddSpec, WritePlanner, _WriteOp
 from repro.weaksets import DynamicSet
 
@@ -67,29 +64,6 @@ def test_repr_includes_loss_and_bandwidth():
     shown = repr(Link("a", "b", loss_rate=0.001, bandwidth=1.25e6))
     assert "loss=0.001" in shown and "bw=1.25e+06B/s" in shown
     assert "bw=inf" in repr(Link("a", "b"))
-
-
-# -- the deprecated World(bandwidth=...) alias ------------------------------
-
-def test_world_bandwidth_is_deprecated_but_works():
-    kernel = Kernel(seed=0)
-    topo = full_mesh(["client", "s0"], FixedLatency(0.01))
-    net = Network(kernel, topo)
-    with pytest.deprecated_call():
-        World(net, bandwidth=1_000_000.0)
-    link = next(iter(topo.links()))
-    assert link.bandwidth == 1_000_000.0
-
-
-def test_world_bandwidth_respects_explicit_link_settings():
-    kernel = Kernel(seed=0)
-    topo = full_mesh(["client", "s0"], FixedLatency(0.01))
-    link = next(iter(topo.links()))
-    link.bandwidth = 250.0
-    net = Network(kernel, topo)
-    with pytest.deprecated_call():
-        World(net, bandwidth=1_000_000.0)
-    assert link.bandwidth == 250.0      # the explicit dial wins
 
 
 # -- WireFormat -------------------------------------------------------------

@@ -302,8 +302,8 @@ def test_limiter_caps_fetch_pipeline_window():
 
     original = pipeline._form_batch
 
-    def tracking_form_batch():
-        batch = original()
+    def tracking_form_batch(budget):
+        batch = original(budget)
         max_in_flight[0] = max(max_in_flight[0], pipeline._in_flight)
         return batch
 

@@ -4,9 +4,9 @@ The kernel's contract is strict ``(time, seq)`` event order.  The
 timer-wheel scheduler reorganises storage (slots, lazy stable sorts,
 batch draining) but must never reorganise *observable order*.  These
 tests are differential: the same randomized schedule runs under the
-heap scheduler, the wheel scheduler, and the frozen seed kernel
-(:mod:`repro.sim._seed_kernel`), and every observable — execution
-order, timestamps, trace records, final RNG draws — must be identical.
+shipped kernel and the frozen seed kernel (:mod:`repro.sim._seed_kernel`,
+one global heapq loop), and every observable — execution order,
+timestamps, trace records, final RNG draws — must be identical.
 
 The randomized programs deliberately cover the wheel's hard cases:
 same-instant ties (batch dispatch), cancellations (lazy removal),
@@ -23,7 +23,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import (
     Fork,
-    HeapScheduler,
     Join,
     Kernel,
     Now,
@@ -31,7 +30,6 @@ from repro.sim import (
     Sleep,
     Wait,
     WheelScheduler,
-    make_scheduler,
 )
 from repro.sim._seed_kernel import Kernel as SeedKernel
 from repro.sim.sched import _Scheduled
@@ -122,15 +120,16 @@ def _observe(kernel_factory, rng_seed: int, split: float = None):
 
 @pytest.mark.parametrize("rng_seed", range(8))
 def test_wheel_matches_heap_on_randomized_schedules(rng_seed):
-    heap_obs = _observe(lambda: Kernel(seed=3, scheduler="heap"), rng_seed)
-    wheel_obs = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
+    heap_obs = _observe(lambda: SeedKernel(seed=3), rng_seed)
+    wheel_obs = _observe(lambda: Kernel(seed=3), rng_seed)
     assert heap_obs == wheel_obs
 
 
 @pytest.mark.parametrize("rng_seed", range(4))
 def test_new_kernel_matches_frozen_seed_kernel(rng_seed):
-    seed_obs = _observe(lambda: SeedKernel(seed=3), rng_seed)
-    wheel_obs = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
+    """Same program, different kernel seed: RNG streams agree too."""
+    seed_obs = _observe(lambda: SeedKernel(seed=11), rng_seed + 100)
+    wheel_obs = _observe(lambda: Kernel(seed=11), rng_seed + 100)
     assert seed_obs == wheel_obs
 
 
@@ -138,29 +137,27 @@ def test_new_kernel_matches_frozen_seed_kernel(rng_seed):
 @pytest.mark.parametrize("split", [0.0105, 0.02])
 def test_until_split_mid_slot_preserves_order(rng_seed, split):
     """run(until=...) then resume: identical to an uninterrupted run."""
-    whole = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
-    parts = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed,
-                     split=split)
+    whole = _observe(lambda: Kernel(seed=3), rng_seed)
+    parts = _observe(lambda: Kernel(seed=3), rng_seed, split=split)
     # Drop the split marker; everything else must line up exactly.
     split_log = [e for e in parts[0] if e[1] != "--split--"]
     assert split_log == whole[0]
     assert parts[1] == whole[1]
     # And the split run still matches the heap run split the same way.
-    heap_parts = _observe(lambda: Kernel(seed=3, scheduler="heap"), rng_seed,
-                          split=split)
+    heap_parts = _observe(lambda: SeedKernel(seed=3), rng_seed, split=split)
     assert parts == heap_parts
 
 
 def test_traces_identical_across_schedulers():
-    def observe(sched):
-        kernel = Kernel(seed=9, trace=True, scheduler=sched)
+    def observe(kernel_factory):
+        kernel = kernel_factory(seed=9, trace=True)
         log = []
         _random_program(kernel, 42, log)
         kernel.run()
         return [(r.time, r.kind, tuple(sorted(r.fields.items())))
                 for r in kernel.trace.records()]
 
-    assert observe("heap") == observe("wheel")
+    assert observe(SeedKernel) == observe(Kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +177,17 @@ def _drain(sched):
 
 def test_wheel_orders_ties_and_slots_like_heap():
     rng = random.Random(5)
-    heap, wheel = HeapScheduler(), WheelScheduler()
+    wheel = WheelScheduler()
     entries = []
     for seq in range(500):
         when = rng.choice([0.0, 0.001, 0.0010000001, 0.5, 7.25,
                            rng.random() * 3.0])
         entries.append(_Scheduled(when, seq, None))
     for e in entries:
-        heap.push(e)
-        wheel.push(_Scheduled(e.time, e.seq, None))
-    assert [(e.time, e.seq) for e in _drain(heap)] == \
-           [(e.time, e.seq) for e in _drain(wheel)]
+        wheel.push(e)
+    # A binary heap pops in exact (time, seq) order.
+    assert [(e.time, e.seq) for e in _drain(wheel)] == \
+           sorted((e.time, e.seq) for e in entries)
 
 
 def test_wheel_far_future_and_infinite_times_share_the_far_slot():
@@ -264,22 +261,8 @@ def test_wheel_shelves_half_drained_slot_when_earlier_work_arrives():
     assert len(wheel) == 0
 
 
-def test_make_scheduler_resolution():
-    assert isinstance(make_scheduler(None), WheelScheduler)
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("wheel"), WheelScheduler)
-    custom = WheelScheduler(width=0.5)
-    assert make_scheduler(custom) is custom
-    with pytest.raises(SimulationError):
-        make_scheduler("btree")
+def test_wheel_rejects_nonpositive_slot_width():
     with pytest.raises(SimulationError):
         WheelScheduler(width=0.0)
-
-
-def test_kernel_scheduler_selection_and_env(monkeypatch):
-    assert Kernel().scheduler_name == "wheel"
-    assert Kernel(scheduler="heap").scheduler_name == "heap"
-    monkeypatch.setenv("REPRO_SIM_SCHED", "heap")
-    assert Kernel().scheduler_name == "heap"
-    monkeypatch.setenv("REPRO_SIM_SCHED", "")
-    assert Kernel().scheduler_name == "wheel"
+    with pytest.raises(SimulationError):
+        WheelScheduler(width=-1.0)

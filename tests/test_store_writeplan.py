@@ -510,3 +510,34 @@ def test_rank_hosts_memoized_per_topology_generation():
     net.rejoin("s1")
     assert rank_hosts(net, CLIENT, hosts) == first
     assert kernel.obs.metrics.value("fetch.rank_cache_hits") == 1
+
+
+# ---------------------------------------------------------------------------
+# AIMD admission: the limiter caps ops, not just batch starts
+# ---------------------------------------------------------------------------
+
+def test_limiter_caps_ops_inside_batch_rpcs():
+    from repro.net import AdaptiveLimiter, AIMDPolicy
+    kernel, net, world, _ = standard_world()
+    limiter = AdaptiveLimiter(AIMDPolicy(initial=2, max_window=2))
+    repo = Repository(world, CLIENT, limiter=limiter)
+    in_rpc = {"now": 0, "peak": 0}
+    original = repo._call
+
+    def counting_call(host, method, *args):
+        n = len(args[-1])        # put entries, or member elements
+        in_rpc["now"] += n
+        in_rpc["peak"] = max(in_rpc["peak"], in_rpc["now"])
+        try:
+            return (yield from original(host, method, *args))
+        finally:
+            in_rpc["now"] -= n
+
+    repo._call = counting_call
+    elements = kernel.run_process(
+        repo.add_many("coll", _specs(16), window=4, batch_size=8))
+    assert len(elements) == 16
+    assert world.true_members("coll") == frozenset(elements)
+    # A free worker may take only what the AIMD window has left, never
+    # a full batch_size of 8.
+    assert 0 < in_rpc["peak"] <= limiter.window == 2
