@@ -3,9 +3,9 @@
 Asserts the invariants the CI acceptance gate relies on: spans nest
 (every ``rpc.attempt`` traces back to a workload *root* span — the
 client's ``drain``, or a background protocol's ``sync.round`` /
-``repair.scrub`` / ``recovery.replay``), the registry agrees with the
-legacy ``NetworkStats`` facade by construction, and the exported JSONL
-trace round-trips.
+``repair.scrub`` / ``recovery.replay``), the registry's message and
+recovery counters record the run, and the exported JSONL trace
+round-trips.
 
 Setting ``REPRO_TRACE_JSONL`` makes the run export one full seeded
 trace — the second artifact the CI bench-smoke job uploads.
@@ -32,8 +32,8 @@ def test_e17_observability(benchmark):
     assert by_metric["kernel.events"]["value"] > 0
     assert by_metric["net.messages_sent"]["value"] > 0
     assert by_metric["rpc.attempts"]["value"] > 0
-    # Faults engaged the resilience machinery, and the registry-backed
-    # counters (the old NetworkStats names) recorded it.
+    # Faults engaged the resilience machinery, and the registry's
+    # ``rpc.*`` counters recorded it.
     assert by_metric["rpc.retries"]["value"] > 0
     assert by_metric["drain.yields"]["value"] > 0
 

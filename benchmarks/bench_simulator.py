@@ -66,7 +66,7 @@ def test_rpc_round_trip_throughput(benchmark):
                 yield from net.call("a", "b", "echo", "echo", i)
 
         kernel.run_process(caller())
-        return net.transport.messages_sent
+        return net.kernel.obs.metrics.value("net.messages_sent")
 
     sent = benchmark(run)
     assert sent == 1000  # 500 requests + 500 replies

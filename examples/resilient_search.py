@@ -90,10 +90,11 @@ def main() -> None:
     got = sorted(y.element.name for y in result.yields)
     print(f"  [{kernel.now:5.2f}s] yielded {len(got)}/{ARTICLES}: {got}")
     print(f"  outcome: {result.outcome}")
-    stats = net.transport.stats
-    print(f"  recovery effort: retries={stats.retries} "
-          f"failovers={stats.failovers} hedges={stats.hedges} "
-          f"(wins: {stats.hedge_wins})")
+    metrics = kernel.obs.metrics
+    print(f"  recovery effort: retries={metrics.value('rpc.retries')} "
+          f"failovers={metrics.value('rpc.failovers')} "
+          f"hedges={metrics.value('rpc.hedges')} "
+          f"(wins: {metrics.value('rpc.hedge_wins')})")
     print("  every lost article was served by its shelf2 mirror — here the "
           "hedged\n  replica read won the race outright; a mirror is never "
           "believed about\n  removal, so nothing stale can sneak in\n")
@@ -115,13 +116,13 @@ def main() -> None:
                 pass
         return shed
 
-    before = stats.node("shelf1").addressed
+    before = metrics.value("net.messages_sent")
     shed = kernel.run_process(storm())
-    sent = stats.node("shelf1").addressed - before
+    sent = metrics.value("net.messages_sent") - before
     print(f"  10 probes at the dead shelf: {sent} reached the wire, "
           f"{shed} failed fast\n  (the breaker already tripped during the "
-          f"search — trips={stats.breaker_trips}, fast-fails so far: "
-          f"{stats.breaker_fast_fails})")
+          f"search — trips={metrics.value('rpc.breaker_trips')}, fast-fails "
+          f"so far: {metrics.value('rpc.breaker_fast_fails')})")
 
 
 if __name__ == "__main__":

@@ -46,8 +46,9 @@ def main(argv: list[str]) -> int:
             print(f"experiments: {', '.join(ALL_EXPERIMENTS)}")
             return 0
         else:
-            ids.append(arg.upper())
-    wanted = ids or list(ALL_EXPERIMENTS)
+            ids.append(arg)
+    by_upper = {eid.upper(): eid for eid in ALL_EXPERIMENTS}
+    wanted = [by_upper.get(i.upper(), i) for i in ids] or list(ALL_EXPERIMENTS)
     unknown = [w for w in wanted if w not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiment id(s): {unknown}; "

@@ -21,7 +21,8 @@ same seeded worlds:
 Reported per point: completion rate (drains that Returned), coverage
 (fraction of members yielded), conformance against Figure 6 (must stay
 100% — resilience may never invent elements), and the recovery-effort
-counters from :class:`~repro.net.stats.NetworkStats`.
+counters (``rpc.retries``, ``rpc.hedges``, ``rpc.failovers``,
+``rpc.breaker_trips``) from the kernel's metrics registry.
 """
 
 from __future__ import annotations
@@ -103,16 +104,16 @@ def one_run(make_resilience: Callable[[Network], Optional[ResilientClient]],
     # runs, so blocked drains report as incomplete, not as unsound.)
     violations = weak_guarantee_violations(
         ws.last_trace, scenario.world.membership_history(spec.coll_id))
-    stats = scenario.net.transport.stats
+    metrics = scenario.kernel.obs.metrics
     return {
         "success": isinstance(drained.outcome, Returned),
         "coverage": len(drained.yields) / members,
         "latency": drained.total_time,
         "sound": not violations,
-        "retries": stats.retries,
-        "hedges": stats.hedges,
-        "failovers": stats.failovers,
-        "breaker_trips": stats.breaker_trips,
+        "retries": metrics.value("rpc.retries"),
+        "hedges": metrics.value("rpc.hedges"),
+        "failovers": metrics.value("rpc.failovers"),
+        "breaker_trips": metrics.value("rpc.breaker_trips"),
     }
 
 

@@ -54,7 +54,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
             wall_start = time.perf_counter()
             drained = scenario.kernel.run_process(proc())
             wall_ms = (time.perf_counter() - wall_start) * 1000.0
-            messages = scenario.net.transport.stats.total_sent
+            messages = scenario.kernel.obs.metrics.value("net.messages_sent")
             result.add(
                 members=size,
                 impl=impl_name,

@@ -66,7 +66,7 @@ class Node:
         self.up = False
         self.crash_count += 1
         for proc in self._handlers:
-            proc._kill()
+            proc.kill()
         self._handlers.clear()
         if self.executor is not None:
             self.executor.reset()

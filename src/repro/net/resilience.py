@@ -23,11 +23,10 @@ the *semantics* under faults rather than the transport's fragility:
   issue a duplicate request to the next replica and take the first
   reply).
 
-Every recovery action is counted on the transport's
-:class:`~repro.net.stats.NetworkStats` (``retries``, ``hedges``,
-``hedge_wins``, ``breaker_trips``, ``breaker_fast_fails``,
-``failovers``) so experiments can report recovery cost next to
-recovery benefit (E16).
+Every recovery action is counted in the kernel's metrics registry
+(``rpc.retries``, ``rpc.hedges``, ``rpc.hedge_wins``,
+``rpc.breaker_trips``, ``rpc.breaker_fast_fails``, ``rpc.failovers``)
+so experiments can report recovery cost next to recovery benefit (E16).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .address import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fabric import Network
-    from .stats import NetworkStats
 
 __all__ = [
     "TRANSPORT_FAILURES",
@@ -404,10 +402,14 @@ class ResilientClient:
         #: Destination that answered the most recent hedged_call (read it
         #: immediately after the call returns; no yield in between).
         self.last_winner: Optional[NodeId] = None
-
-    @property
-    def stats(self) -> "NetworkStats":
-        return self.net.transport.stats
+        metrics = net.kernel.obs.metrics
+        self._m_retries = metrics.counter("rpc.retries")
+        self._m_hedges = metrics.counter("rpc.hedges")
+        self._m_hedge_wins = metrics.counter("rpc.hedge_wins")
+        self._m_breaker_trips = metrics.counter("rpc.breaker_trips")
+        self._m_breaker_fast_fails = metrics.counter("rpc.breaker_fast_fails")
+        self._m_budget_exhausted = metrics.counter(
+            "overload.retry_budget_exhausted")
 
     # -- breakers ---------------------------------------------------------
     def breaker_for(self, src: NodeId, dst: NodeId) -> Optional[CircuitBreaker]:
@@ -424,7 +426,7 @@ class ResilientClient:
         """Breaker gate: returns the breaker, or raises CircuitOpenFailure."""
         breaker = self.breaker_for(src, dst)
         if breaker is not None and not breaker.allow(self.net.now):
-            self.stats.breaker_fast_fails += 1
+            self._m_breaker_fast_fails.value += 1
             raise CircuitOpenFailure(f"circuit {src}->{dst} is open")
         return breaker
 
@@ -437,7 +439,7 @@ class ResilientClient:
             breaker.record_success()
         elif isinstance(exc, TRANSPORT_FAILURES):
             if breaker.record_failure(self.net.now):
-                self.stats.breaker_trips += 1
+                self._m_breaker_trips.value += 1
         else:
             # The destination answered (with an application error):
             # that's evidence of health, not failure.
@@ -500,7 +502,7 @@ class ResilientClient:
                 if self.retry_budget is not None and not self.retry_budget.withdraw():
                     # Out of retry tokens: surface the failure instead of
                     # piling more load onto a struggling server.
-                    self.stats.retry_budget_exhausted += 1
+                    self._m_budget_exhausted.value += 1
                     raise last_exc
                 delay = self.policy.backoff(attempt, self.stream)
                 # A shedding server tells us when it expects capacity;
@@ -513,7 +515,7 @@ class ResilientClient:
                     if remaining <= 0:
                         raise last_exc
                     delay = min(delay, remaining)
-                self.stats.retries += 1
+                self._m_retries.value += 1
                 yield Sleep(delay)
         except BaseException as exc:
             if not span.finished:
@@ -551,7 +553,6 @@ class ResilientClient:
                 timeout=timeout, deadline=deadline, max_attempts=1, **kwargs))
         if deadline is None and self.default_budget is not None:
             deadline = Deadline.after(self.net.now, self.default_budget)
-        stats = self.stats
         tracer = self.net.kernel.obs.tracer
         # One span covers the whole race; forked attempts nest under it
         # via the kernel's span adoption at Fork.
@@ -588,7 +589,7 @@ class ResilientClient:
                 if not sig.fired:
                     self.last_winner = dst
                     if hedged:
-                        stats.hedge_wins += 1
+                        self._m_hedge_wins.value += 1
                     sig.fire(value)
                 state["pending"] -= 1
 
@@ -603,7 +604,7 @@ class ResilientClient:
                     continue
                 launched += 1
                 if launched > 1:
-                    stats.hedges += 1
+                    self._m_hedges.value += 1
                 state["pending"] += 1
                 if last:
                     state["done_launching"] = True

@@ -1,172 +1,70 @@
-"""Per-node message accounting, backed by the metrics registry.
+"""Message and byte accounting for the transport, on the metrics registry.
 
 The experiments argue about *cost* as well as latency (e.g. quorum
-reads buy availability with extra messages); these counters put numbers
-on it.  Maintained by the transport for every message.
-
-Since the observability layer landed, :class:`NetworkStats` is a thin
-facade over :class:`~repro.obs.metrics.MetricsRegistry` counters: the
-attribute API (``stats.retries``, ``stats.total_sent``, …) is unchanged
-— reads and ``+=`` writes still work — but every count is stored once,
-in the registry, under the ``net.*`` / ``rpc.*`` names documented in
-``docs/observability.md``.  Anything the stats object reports therefore
-agrees with the exported JSONL artifact by construction.
+reads buy availability with extra messages).  Each count lives once, in
+the kernel's :class:`~repro.obs.metrics.MetricsRegistry` under the
+names in ``docs/observability.md``: read ``kernel.obs.metrics.value``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..obs.metrics import Counter, MetricsRegistry
-from .address import NodeId
 from .message import Message
 from .wire import method_family
 
-__all__ = ["NodeStats", "NetworkStats"]
+__all__ = ["TRANSPORT_COUNTERS", "MessageRecorder"]
+
+#: Counters a transport creates up front, so every snapshot lists them
+#: (zero-valued when unused).  The ``rpc.*`` and ``overload.*`` ones are
+#: incremented by the resilience layer and by fetch failover.
+TRANSPORT_COUNTERS: tuple[str, ...] = (
+    "net.messages_sent", "net.messages_delivered", "net.messages_dropped",
+    "rpc.retries", "rpc.hedges", "rpc.hedge_wins", "rpc.breaker_trips",
+    "rpc.breaker_fast_fails", "rpc.failovers",
+    "overload.retry_budget_exhausted", "net.bytes_sent", "net.bytes_received",
+)
 
 
-@dataclass
-class NodeStats:
-    """Counters for one node."""
+class MessageRecorder:
+    """Counts each message the transport sends, delivers or drops once."""
 
-    sent: int = 0
-    received: int = 0
-    requests_handled: int = 0
-    addressed: int = 0        # messages addressed *to* this node at send time
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-    def __str__(self) -> str:
-        return (f"sent={self.sent} received={self.received} "
-                f"handled={self.requests_handled} addressed={self.addressed} "
-                f"bytes_out={self.bytes_sent} bytes_in={self.bytes_received}")
-
-
-def _registry_counter(metric_name: str) -> property:
-    """An int-like attribute stored in the shared registry counter."""
-
-    def fget(self: "NetworkStats") -> int:
-        return int(self._counters[metric_name].value)
-
-    def fset(self: "NetworkStats", value: int) -> None:
-        self._counters[metric_name].value = value
-
-    return property(fget, fset, doc=f"registry counter {metric_name!r}")
-
-
-class NetworkStats:
-    """Counters for the whole network, per node and aggregate.
-
-    All aggregate counters live in a :class:`MetricsRegistry` (one per
-    kernel when constructed by the transport); the attributes below are
-    registry-backed properties so legacy ``stats.retries += 1`` call
-    sites keep working while the registry stays the single source of
-    truth.
-    """
-
-    #: attribute name → registry metric name
-    METRIC_NAMES: dict[str, str] = {
-        "total_sent": "net.messages_sent",
-        "total_delivered": "net.messages_delivered",
-        "total_dropped": "net.messages_dropped",
-        "retries": "rpc.retries",
-        "hedges": "rpc.hedges",
-        "hedge_wins": "rpc.hedge_wins",
-        "breaker_trips": "rpc.breaker_trips",
-        "breaker_fast_fails": "rpc.breaker_fast_fails",
-        "failovers": "rpc.failovers",
-        "retry_budget_exhausted": "overload.retry_budget_exhausted",
-        "bytes_sent": "net.bytes_sent",
-        "bytes_received": "net.bytes_received",
-    }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters: dict[str, Counter] = {
-            metric: self.registry.counter(metric)
-            for metric in self.METRIC_NAMES.values()
-        }
-        self.per_node: dict[NodeId, NodeStats] = {}
-
-    # -- transport-level counters ----------------------------------------
-    total_sent = _registry_counter("net.messages_sent")
-    total_delivered = _registry_counter("net.messages_delivered")
-    total_dropped = _registry_counter("net.messages_dropped")
-    # -- resilience-layer counters (maintained by ResilientClient and
-    #    Repository failover, not by the transport itself) --------------
-    retries = _registry_counter("rpc.retries")
-    hedges = _registry_counter("rpc.hedges")
-    hedge_wins = _registry_counter("rpc.hedge_wins")
-    breaker_trips = _registry_counter("rpc.breaker_trips")
-    breaker_fast_fails = _registry_counter("rpc.breaker_fast_fails")
-    failovers = _registry_counter("rpc.failovers")
-    retry_budget_exhausted = _registry_counter("overload.retry_budget_exhausted")
-    # -- wire-level byte accounting (``Message.wire_size``, stamped by
-    #    the transport's WireFormat at send time) ------------------------
-    bytes_sent = _registry_counter("net.bytes_sent")
-    bytes_received = _registry_counter("net.bytes_received")
-
-    def node(self, name: NodeId) -> NodeStats:
-        stats = self.per_node.get(name)
-        if stats is None:
-            stats = NodeStats()
-            self.per_node[name] = stats
-        return stats
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        for name in TRANSPORT_COUNTERS:
+            registry.counter(name)
+        self._sent = registry.counter("net.messages_sent")
+        self._delivered = registry.counter("net.messages_delivered")
+        self._dropped = registry.counter("net.messages_dropped")
+        self._bytes_sent = registry.counter("net.bytes_sent")
+        self._bytes_received = registry.counter("net.bytes_received")
+        # method -> per-family byte counter, created on the first
+        # non-zero size (``net.bytes_sent.object``, …)
+        self._sent_by_method: dict[str, Counter] = {}
+        self._received_by_method: dict[str, Counter] = {}
 
     def record_send(self, msg: Message) -> None:
-        self._counters["net.messages_sent"].value += 1
-        sender = self.node(msg.src.node)
-        sender.sent += 1
-        self.node(msg.dst.node).addressed += 1
-        size = msg.wire_size or 0
+        self._sent.value += 1
+        size = msg.wire_size
         if size:
-            self._counters["net.bytes_sent"].value += size
-            sender.bytes_sent += size
-            self._family_counter("net.bytes_sent", msg.method).value += size
+            self._bytes_sent.value += size
+            self._family(self._sent_by_method, "net.bytes_sent",
+                         msg.method).value += size
 
     def record_delivery(self, msg: Message) -> None:
-        self._counters["net.messages_delivered"].value += 1
-        receiver = self.node(msg.dst.node)
-        receiver.received += 1
-        if not msg.is_reply:
-            receiver.requests_handled += 1
-        size = msg.wire_size or 0
+        self._delivered.value += 1
+        size = msg.wire_size
         if size:
-            self._counters["net.bytes_received"].value += size
-            receiver.bytes_received += size
-            self._family_counter("net.bytes_received", msg.method).value += size
-
-    def _family_counter(self, base: str, method: str) -> Counter:
-        """Lazy per-method-family byte counter (``net.bytes_sent.object``,
-        ``net.bytes_received.sync``, …)."""
-        name = f"{base}.{method_family(method)}"
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self.registry.counter(name)
-            self._counters[name] = counter
-        return counter
+            self._bytes_received.value += size
+            self._family(self._received_by_method, "net.bytes_received",
+                         msg.method).value += size
 
     def record_drop(self, msg: Message) -> None:
-        self._counters["net.messages_dropped"].value += 1
+        self._dropped.value += 1
 
-    @property
-    def delivery_rate(self) -> float:
-        return self.total_delivered / self.total_sent if self.total_sent else 0.0
-
-    def busiest_nodes(self, k: int = 5) -> list[tuple[NodeId, int]]:
-        """Top-k nodes by requests handled (the hot servers)."""
-        ranked = sorted(self.per_node.items(),
-                        key=lambda item: item[1].requests_handled,
-                        reverse=True)
-        return [(name, stats.requests_handled) for name, stats in ranked[:k]]
-
-    def __str__(self) -> str:
-        extras = ""
-        if self.retries or self.hedges or self.breaker_trips or self.failovers:
-            extras = (f", retries={self.retries}, hedges={self.hedges}, "
-                      f"breaker_trips={self.breaker_trips}, "
-                      f"failovers={self.failovers}")
-        return (f"NetworkStats(sent={self.total_sent}, "
-                f"delivered={self.total_delivered}, "
-                f"dropped={self.total_dropped}{extras})")
+    def _family(self, cache: dict[str, Counter], base: str,
+                method: str) -> Counter:
+        counter = cache.get(method)
+        if counter is None:
+            counter = self.registry.counter(f"{base}.{method_family(method)}")
+            cache[method] = counter
+        return counter

@@ -25,7 +25,7 @@ from .address import NodeId
 from .message import Message
 from .node import Node
 from .partitions import PartitionManager
-from .stats import NetworkStats
+from .stats import MessageRecorder
 from .topology import Topology
 from .wire import WireFormat, method_family
 
@@ -48,11 +48,7 @@ class Transport:
         self.wire = wire if wire is not None else WireFormat()
         self._pending_replies: dict[int, Signal] = {}
         self._latency_stream = kernel.stream("net.latency")
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        # Counters live on the kernel's metrics registry, so the stats
-        # facade and any exported artifact are the same numbers.
-        self.stats = NetworkStats(registry=kernel.obs.metrics)
+        self.recorder = MessageRecorder(kernel.obs.metrics)
         self._m_delivery_delay = kernel.obs.metrics.histogram("net.delivery_delay")
         self._m_queue_delay = kernel.obs.metrics.histogram("net.link.queue_delay")
         self._queue_delay_by_family: dict[str, object] = {}
@@ -96,20 +92,19 @@ class Transport:
         """
         if msg.wire_size is None:
             object.__setattr__(msg, "wire_size", self.wire.measure(msg))
-        self.messages_sent += 1
-        self.stats.record_send(msg)
+        self.recorder.record_send(msg)
         if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
-            self.messages_dropped += 1
-            self.stats.record_drop(msg)
-            self.kernel.trace.record("drop", msg=str(msg), at="send")
+            self.recorder.record_drop(msg)
+            if self.kernel.trace.enabled:
+                self.kernel.trace.record("drop", msg=str(msg), at="send")
             return False
         route = self.topology.route(msg.src.node, msg.dst.node) or []
         for link in route:
             if link.loss_rate > 0.0 and self._latency_stream.bernoulli(link.loss_rate):
-                self.messages_dropped += 1
-                self.stats.record_drop(msg)
-                self.kernel.trace.record("drop", msg=str(msg), at="loss",
-                                         link=f"{link.a}<->{link.b}")
+                self.recorder.record_drop(msg)
+                if self.kernel.trace.enabled:
+                    self.kernel.trace.record("drop", msg=str(msg), at="loss",
+                                             link=f"{link.a}<->{link.b}")
                 return False
         now = self.kernel.now
         t = now + self.wire.serialize_delay(msg.wire_size)
@@ -131,19 +126,21 @@ class Transport:
                     f"net.link.queue_delay.{family}")
                 self._queue_delay_by_family[family] = hist
             hist.observe(queue_wait)
-        self.kernel.trace.record("send", msg=str(msg), delay=round(delay, 6),
-                                 size=msg.wire_size)
+        if self.kernel.trace.enabled:
+            self.kernel.trace.record("send", msg=str(msg),
+                                     delay=round(delay, 6), size=msg.wire_size)
         self.kernel.call_soon(lambda: self._deliver(msg), delay=delay)
         return True
 
     def _deliver(self, msg: Message) -> None:
         if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
-            self.messages_dropped += 1
-            self.stats.record_drop(msg)
-            self.kernel.trace.record("drop", msg=str(msg), at="delivery")
+            self.recorder.record_drop(msg)
+            if self.kernel.trace.enabled:
+                self.kernel.trace.record("drop", msg=str(msg), at="delivery")
             return
-        self.stats.record_delivery(msg)
-        self.kernel.trace.record("recv", msg=str(msg))
+        self.recorder.record_delivery(msg)
+        if self.kernel.trace.enabled:
+            self.kernel.trace.record("recv", msg=str(msg))
         if msg.is_reply:
             self._complete_reply(msg)
         else:

@@ -110,8 +110,5 @@ class Process:
             pass
         self.done.fail(ProcessKilled(f"{self.name} was killed"))
 
-    # Kept for kernel-internal call sites and backward compatibility.
-    _kill = kill
-
     def __repr__(self) -> str:
         return f"Process({self.name!r}, pid={self.pid}, state={self.state.value})"

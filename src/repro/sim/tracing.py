@@ -1,17 +1,17 @@
 """Structured trace log for simulations.
 
-The trace is a list of timestamped records.  It serves two purposes:
-
-* debugging (human-readable dump of what the simulation did), and
-* the specification checker's *computation history* — the sequence of
-  states the paper calls σ₀ S₁ σ₁ … is reconstructed from mutation
-  records emitted by the object store.
+The trace is a list of timestamped records: a human-readable dump of
+what the simulation did, kept only when the kernel is built with
+``Kernel(trace=True)``.  Hot paths check :attr:`TraceLog.enabled`
+before building a record's fields, so a disabled log costs nothing.
+(The specification checker's computation history is recorded
+separately, by :mod:`repro.spec.trace`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clock import Clock
@@ -33,40 +33,18 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only event log; cheap no-op when disabled.
-
-    Subscribers (e.g., the spec framework's constraint monitors) can
-    register callbacks that see every record as it is appended,
-    regardless of whether recording-for-dump is enabled.
-    """
+    """Append-only event log; cheap no-op when disabled."""
 
     def __init__(self, enabled: bool = False, clock: Optional["Clock"] = None):
         self.enabled = enabled
         self._clock = clock
         self._records: list[TraceRecord] = []
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
 
     def record(self, kind: str, **fields: Any) -> None:
-        if not self.enabled and not self._subscribers:
+        if not self.enabled:
             return
         now = self._clock.now if self._clock is not None else 0.0
-        rec = TraceRecord(time=now, kind=kind, fields=fields)
-        if self.enabled:
-            self._records.append(rec)
-        for callback in self._subscribers:
-            callback(rec)
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> Callable[[], None]:
-        """Register a live subscriber; returns an unsubscribe function."""
-        self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._subscribers.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
+        self._records.append(TraceRecord(time=now, kind=kind, fields=fields))
 
     def records(self, kind: Optional[str] = None) -> Iterator[TraceRecord]:
         for rec in self._records:

@@ -216,7 +216,7 @@ class PipelineCore:
             return
         self._stopped = True
         for proc in self._procs:
-            proc._kill()
+            proc.kill()
         self._procs.clear()
         if self._span is not None:
             self._tracer.finish(self._span, **self._span_totals())
@@ -429,6 +429,7 @@ class FetchPipeline(PipelineCore):
         self._m_gone = metrics.counter("fetch.batch.gone")
         self._m_unreachable = metrics.counter("fetch.batch.unreachable")
         self._m_failovers = metrics.counter("fetch.batch.failovers")
+        self._m_rpc_failovers = metrics.counter("rpc.failovers")
         self._m_cache_hits = metrics.counter("fetch.batch.cache_hits")
         self._m_probes = metrics.counter("fetch.batch.probes")
         self._m_retries = metrics.counter("fetch.batch.retries")
@@ -782,7 +783,7 @@ class FetchPipeline(PipelineCore):
                 still: list[Element] = []
                 for element, (status, value) in zip(remaining, outcomes):
                     if status == "ok":
-                        self.repo.net.transport.stats.failovers += 1
+                        self._m_rpc_failovers.value += 1
                         self._m_failovers.value += 1
                         self._m_fetch_latency.observe(self.world.now - issued_at)
                         self._settle_ok(element, value, issue_epoch)

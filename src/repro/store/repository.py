@@ -100,6 +100,7 @@ class Repository:
         self._m_scatter_retries = metrics.counter("shard.scatter_retries")
         self._m_fence_rereads = metrics.counter("shard.fence_rereads")
         self._m_reroutes = metrics.counter("shard.write_reroutes")
+        self._m_rpc_failovers = metrics.counter("rpc.failovers")
         #: per-collection, per-shard high-water marks of authoritative
         #: partition versions this client has observed — the fence that
         #: keeps a mirror read from silently travelling backwards.
@@ -468,7 +469,7 @@ class Repository:
                     replica, "get_object_replica", element.oid)
             except FailureException:
                 continue
-            self.net.transport.stats.failovers += 1
+            self._m_rpc_failovers.value += 1
             return value
         raise home_exc
 

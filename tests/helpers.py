@@ -78,3 +78,20 @@ def drain_all(kernel, weakset, max_yields: Optional[int] = None):
         return (yield from iterator.drain(max_yields=max_yields))
 
     return kernel.run_process(proc())
+
+
+def spy_sends(net) -> list:
+    """Record every message handed to ``net.transport.send`` from now on.
+
+    Messages dropped at send time are recorded too, so the list says
+    what went toward each node: ``sum(m.dst.node == "b" for m in sent)``.
+    """
+    sent: list = []
+    send = net.transport.send
+
+    def spy(msg):
+        sent.append(msg)
+        return send(msg)
+
+    net.transport.send = spy
+    return sent

@@ -17,6 +17,14 @@ def test_cli_accepts_lowercase_ids(capsys):
     assert "[E9]" in capsys.readouterr().out
 
 
+def test_cli_matches_suffixed_ids_in_any_case(capsys):
+    # E5a's id has a lower-case suffix; both spellings must find it.
+    assert main(["e5a"]) == 0
+    assert "[E5a]" in capsys.readouterr().out
+    assert main(["E5A"]) == 0
+    assert "[E5a]" in capsys.readouterr().out
+
+
 def test_cli_runs_multiple(capsys):
     assert main(["E8", "E9"]) == 0
     out = capsys.readouterr().out

@@ -63,10 +63,10 @@ def soak_once(seed, rounds=3):
     history = scenario.world.membership_history(spec.coll_id)
     violations = [v for trace in ws.traces
                   for v in weak_guarantee_violations(trace, history)]
-    stats = scenario.net.transport.stats
-    counters = (stats.retries, stats.hedges, stats.failovers,
-                stats.breaker_trips, stats.breaker_fast_fails,
-                stats.total_sent, stats.total_dropped)
+    metrics = scenario.kernel.obs.metrics
+    counters = tuple(metrics.value(name) for name in (
+        "rpc.retries", "rpc.hedges", "rpc.failovers", "rpc.breaker_trips",
+        "rpc.breaker_fast_fails", "net.messages_sent", "net.messages_dropped"))
     return rounds_out, counters, violations, completions
 
 

@@ -22,7 +22,7 @@ from repro.store import Repository
 from repro.store.writeplan import AddSpec, WritePlanner, _WriteOp
 from repro.weaksets import DynamicSet
 
-from helpers import CLIENT, PRIMARY, standard_world
+from helpers import CLIENT, PRIMARY, spy_sends, standard_world
 
 
 # -- Link.transmit ----------------------------------------------------------
@@ -161,6 +161,7 @@ def test_byte_counters_and_families_populate():
     kernel, net, world, elements = standard_world(members=4)
     ws = DynamicSet(world, CLIENT, "coll", record=False)
     iterator = ws.elements()
+    sent = spy_sends(net)
 
     def proc():
         return (yield from iterator.drain())
@@ -180,8 +181,9 @@ def test_byte_counters_and_families_populate():
     assert families == total
     assert metrics.value("net.bytes_sent.object") > 0
     assert metrics.value("net.bytes_sent.membership") > 0
-    # per-node accounting flows through the same stamp
-    assert net.transport.stats.node(CLIENT).bytes_sent > 0
+    # the client's own requests carry the same stamp
+    from_client = [m for m in sent if m.src.node == CLIENT]
+    assert from_client and all(m.wire_size > 0 for m in from_client)
 
 
 def test_queue_delay_observed_under_contention():
@@ -217,13 +219,13 @@ def test_queue_delay_observed_under_contention():
 def test_wire_size_stamped_once():
     kernel, net, world, _ = standard_world()
     sent = []
-    original = net.transport.stats.record_send
+    original = net.transport.recorder.record_send
 
     def spy(msg):
         sent.append(msg)
         original(msg)
 
-    net.transport.stats.record_send = spy
+    net.transport.recorder.record_send = spy
 
     def proc():
         return (yield from net.call(CLIENT, PRIMARY, "store",

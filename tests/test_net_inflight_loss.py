@@ -11,6 +11,8 @@ from repro.errors import NodeCrashFailure, PartitionFailure, TimeoutFailure
 from repro.net import Address, FixedLatency, Message, Network, full_mesh
 from repro.sim import Kernel, Signal, Sleep
 
+from helpers import spy_sends
+
 
 class EchoService:
     def echo(self, value):
@@ -30,7 +32,8 @@ def make_net(**kwargs):
 
 def test_request_lost_to_crash_in_flight_counts_as_drop():
     kernel, net = make_net()
-    stats = net.transport.stats
+    metrics = kernel.obs.metrics
+    sent = spy_sends(net)
 
     def crasher():
         yield Sleep(0.01)                 # request is mid-flight (0.05s link)
@@ -44,16 +47,16 @@ def test_request_lost_to_crash_in_flight_counts_as_drop():
 
     kernel.spawn(crasher(), daemon=True)
     assert kernel.run_process(caller()) == "failed"
-    assert stats.total_dropped == 1
-    assert stats.node("b").addressed == 1     # it *was* sent toward b
-    assert stats.total_delivered == 0
+    assert metrics.value("net.messages_dropped") == 1
+    assert sum(m.dst.node == "b" for m in sent) == 1   # it *was* sent toward b
+    assert metrics.value("net.messages_delivered") == 0
     # the caller's pending-reply entry is cleaned up, not leaked
     assert net.transport._pending_replies == {}
 
 
 def test_reply_lost_to_partition_in_flight_counts_and_stays_silent():
     kernel, net = make_net()
-    stats = net.transport.stats
+    metrics = kernel.obs.metrics
 
     def splitter():
         # Request (0.05s) arrives, handler replies instantly; cut the
@@ -69,8 +72,8 @@ def test_reply_lost_to_partition_in_flight_counts_and_stays_silent():
 
     kernel.spawn(splitter(), daemon=True)
     assert kernel.run_process(caller()) == "failed"
-    assert stats.total_dropped == 1                   # the reply died at delivery
-    assert stats.total_delivered == 1               # only the request landed
+    assert metrics.value("net.messages_dropped") == 1   # the reply died at delivery
+    assert metrics.value("net.messages_delivered") == 1  # only the request landed
     # the caller's signal was resolved exactly once (by its failure);
     # nothing remains for the dead reply to complete later.
     kernel.run(until=5.0)

@@ -44,7 +44,7 @@ def test_zero_loss_never_drops():
         return True
 
     assert kernel.run_process(proc())
-    assert net.transport.messages_dropped == 0
+    assert net.kernel.obs.metrics.value("net.messages_dropped") == 0
 
 
 def test_lossy_link_causes_timeouts_at_roughly_loss_rate():
@@ -64,7 +64,7 @@ def test_lossy_link_causes_timeouts_at_roughly_loss_rate():
     # either direction can drop: expected failure rate 1-(0.7)^2 = 0.51
     rate = outcomes["timeout"] / 200
     assert 0.35 < rate < 0.65
-    assert net.transport.messages_dropped > 0
+    assert net.kernel.obs.metrics.value("net.messages_dropped") > 0
 
 
 def test_retry_eventually_succeeds_over_lossy_link():

@@ -25,7 +25,7 @@ from repro.spec import Returned
 from repro.store import Repository
 from repro.weaksets import DynamicSet
 
-from helpers import CLIENT, drain_all, standard_world
+from helpers import CLIENT, drain_all, spy_sends, standard_world
 
 
 class EchoService:
@@ -175,7 +175,7 @@ def test_retry_succeeds_over_lossy_link():
     assert "lost" in results
     # ...while the retrying client delivers.
     assert kernel.run_process(resilient()) == 2
-    assert net.transport.stats.retries > 0
+    assert net.kernel.obs.metrics.value("rpc.retries") > 0
 
 
 def test_retry_does_not_retry_application_failures():
@@ -188,7 +188,7 @@ def test_retry_does_not_retry_application_failures():
         return True
 
     assert kernel.run_process(proc())
-    assert net.transport.stats.retries == 0
+    assert net.kernel.obs.metrics.value("rpc.retries") == 0
 
 
 def test_deadline_caps_total_time_across_attempts():
@@ -218,7 +218,7 @@ def test_max_attempts_override_disables_retry():
         return True
 
     assert kernel.run_process(proc())
-    assert net.transport.stats.retries == 0
+    assert net.kernel.obs.metrics.value("rpc.retries") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,8 @@ def test_hedged_call_wins_with_second_replica():
 
     assert kernel.run_process(proc()) == "fast-answer"
     assert client.last_winner == "c"
-    assert net.transport.stats.hedges == 1
-    assert net.transport.stats.hedge_wins == 1
+    assert net.kernel.obs.metrics.value("rpc.hedges") == 1
+    assert net.kernel.obs.metrics.value("rpc.hedge_wins") == 1
 
 
 def test_hedged_call_prefers_primary_when_fast():
@@ -260,7 +260,7 @@ def test_hedged_call_prefers_primary_when_fast():
 
     assert kernel.run_process(proc()) == "v"
     assert client.last_winner == "b"
-    assert net.transport.stats.hedges == 0    # never needed the hedge
+    assert net.kernel.obs.metrics.value("rpc.hedges") == 0    # never needed the hedge
 
 
 def test_hedged_call_single_candidate_degrades_to_plain_call():
@@ -271,7 +271,7 @@ def test_hedged_call_single_candidate_degrades_to_plain_call():
         return (yield from client.hedged_call("a", ["b"], "echo", "echo", 7))
 
     assert kernel.run_process(proc()) == 7
-    assert net.transport.stats.hedges == 0
+    assert net.kernel.obs.metrics.value("rpc.hedges") == 0
 
 
 def test_hedged_call_fails_only_when_all_candidates_fail():
@@ -302,6 +302,7 @@ def test_breaker_sheds_load_to_crashed_node():
         policy=RetryPolicy(max_attempts=1),
         breaker=BreakerPolicy(failure_threshold=3, cooldown=60.0),
     )
+    sent = spy_sends(net)
 
     def proc():
         for _ in range(20):
@@ -312,12 +313,12 @@ def test_breaker_sheds_load_to_crashed_node():
         return True
 
     assert kernel.run_process(proc())
-    stats = net.transport.stats
+    metrics = kernel.obs.metrics
     # Only the pre-trip attempts ever addressed the dead node; the other
     # 17 calls failed fast without touching the wire.
-    assert stats.node("b").addressed == 3
-    assert stats.breaker_trips == 1
-    assert stats.breaker_fast_fails == 17
+    assert sum(m.dst.node == "b" for m in sent) == 3
+    assert metrics.value("rpc.breaker_trips") == 1
+    assert metrics.value("rpc.breaker_fast_fails") == 17
     breaker = client.breaker_for("a", "b")
     assert breaker.state is BreakerState.OPEN
 
@@ -367,7 +368,7 @@ def test_fetch_fails_over_to_replica_when_home_crashes():
         return (yield from repo.fetch(elements[0], failover=True))
 
     assert kernel.run_process(proc()) == "v0"
-    assert net.transport.stats.failovers == 1
+    assert net.kernel.obs.metrics.value("rpc.failovers") == 1
 
 
 def test_fetch_without_failover_still_fails():
@@ -398,7 +399,7 @@ def test_failover_never_resurrects_removed_member():
         return True
 
     assert kernel.run_process(remove_then_fetch())
-    assert net.transport.stats.failovers == 0
+    assert net.kernel.obs.metrics.value("rpc.failovers") == 0
 
 
 def test_tombstoned_replica_is_unreachable_not_removed():
@@ -430,7 +431,7 @@ def test_dynamic_iterator_completes_via_failover():
     drained = drain_all(kernel, ws)
     assert isinstance(drained.outcome, Returned)
     assert {y.element.name for y in drained.yields} == {"m0", "m1", "m2"}
-    assert net.transport.stats.failovers >= 3
+    assert net.kernel.obs.metrics.value("rpc.failovers") >= 3
 
 
 def test_dynamic_iterator_without_failover_blocks():

@@ -48,9 +48,9 @@ def test_counters_track_sends_and_drops():
         yield from net.call("a", "b", "echo", "echo", 1)
 
     kernel.run_process(proc())
-    sent_before_failures = net.transport.messages_sent
+    sent_before_failures = net.kernel.obs.metrics.value("net.messages_sent")
     assert sent_before_failures >= 2        # request + reply
-    assert net.transport.messages_dropped == 0
+    assert net.kernel.obs.metrics.value("net.messages_dropped") == 0
 
     net.crash("b")
 
@@ -62,7 +62,7 @@ def test_counters_track_sends_and_drops():
 
     kernel.run_process(proc2())
     # fail-fast means the request is never sent; counters unchanged
-    assert net.transport.messages_sent == sent_before_failures
+    assert net.kernel.obs.metrics.value("net.messages_sent") == sent_before_failures
 
 
 def test_drop_at_send_when_not_fail_fast():
@@ -77,7 +77,7 @@ def test_drop_at_send_when_not_fail_fast():
 
     # the timeout gets classified using current transport knowledge
     assert kernel.run_process(proc()) == "classified"
-    assert net.transport.messages_dropped >= 1
+    assert net.kernel.obs.metrics.value("net.messages_dropped") >= 1
 
 
 def test_late_reply_after_caller_timeout_is_harmless():
@@ -111,7 +111,7 @@ def test_crash_mid_flight_drops_at_delivery():
 
     kernel.spawn(crasher(), daemon=True)
     assert kernel.run_process(proc()) == "failed"
-    assert net.transport.messages_dropped >= 1
+    assert net.kernel.obs.metrics.value("net.messages_dropped") >= 1
 
 
 def test_node_crash_hooks_invoked():

@@ -201,12 +201,12 @@ def test_offline_add_remove_pair_cancels_locally():
     offline.disconnect()
     ephemeral = offline.queue_add("ephemeral", value="tmp")
     offline.queue_remove(ephemeral)
-    sent_before = net.transport.stats.total_sent
+    sent_before = net.kernel.obs.metrics.value("net.messages_sent")
     report = kernel.run_process(offline.reconnect())
     assert report.cancelled == 2 and report.replayed == 0
     assert ephemeral not in world.true_members("coll")
     # The pair never touched the wire (no RPC beyond the delta pull).
-    assert net.transport.stats.total_sent - sent_before <= 2
+    assert net.kernel.obs.metrics.value("net.messages_sent") - sent_before <= 2
 
 
 def test_reconcile_failure_keeps_entries_queued_for_retry():

@@ -127,7 +127,7 @@ def test_retry_honors_server_retry_after_hint():
     # out within ~20ms; honoring retry_after=0.2 spaced them past the
     # blocker's 0.3s occupancy.
     assert finished_at > 0.3
-    assert net.transport.stats.retries > 0
+    assert net.kernel.obs.metrics.value("rpc.retries") > 0
 
 
 def test_retry_budget_exhaustion_stops_the_storm():
@@ -149,8 +149,8 @@ def test_retry_budget_exhaustion_stops_the_storm():
     kernel.spawn(blocker(), name="blocker")
     kernel.run_process(caller())
     # One burst token bought one retry; the second retry was refused.
-    assert net.transport.stats.retries == 1
-    assert net.transport.stats.retry_budget_exhausted == 1
+    assert net.kernel.obs.metrics.value("rpc.retries") == 1
+    assert net.kernel.obs.metrics.value("overload.retry_budget_exhausted") == 1
     assert kernel.obs.metrics.value("overload.retry_budget_exhausted") == 1
 
 
@@ -202,7 +202,7 @@ def test_shed_is_breaker_neutral():
     assert kernel.run_process(caller())
     breaker = client.breaker_for("a", "b")
     assert breaker.allow(kernel.now)           # still closed
-    assert net.transport.stats.breaker_trips == 0
+    assert net.kernel.obs.metrics.value("rpc.breaker_trips") == 0
 
 
 # ---------------------------------------------------------------------------

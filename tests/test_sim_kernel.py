@@ -247,7 +247,7 @@ def test_kill_process_runs_finally_blocks():
     k = Kernel()
     p = k.spawn(proc())
     k.run(until=1.0)
-    p._kill()
+    p.kill()
     assert cleaned == [True]
     assert isinstance(p.error, ProcessKilled)
 
@@ -344,8 +344,8 @@ def test_kill_twice_is_idempotent():
     k = Kernel()
     p = k.spawn(proc())
     k.run(until=0.1)
-    p._kill()
-    p._kill()                  # second kill is a no-op
+    p.kill()
+    p.kill()                  # second kill is a no-op
     assert isinstance(p.error, ProcessKilled)
 
 

@@ -19,7 +19,7 @@ def replica_members(world, node, coll_id="coll"):
 def test_replica_pulls_adds_over_rpc():
     kernel, net, world, _ = standard_world(replicas=2, replica_lag=0.2)
     repo = Repository(world, CLIENT)
-    sent_before = net.transport.stats.total_sent
+    sent_before = net.kernel.obs.metrics.value("net.messages_sent")
 
     def proc():
         yield from repo.add("coll", "fresh", value="x", home="s3")
@@ -32,7 +32,7 @@ def test_replica_pulls_adds_over_rpc():
     assert metrics.value("sync.rounds") > 0
     assert metrics.value("sync.entries") > 0
     # sync is real traffic now, not a memory copy
-    assert net.transport.stats.total_sent > sent_before
+    assert net.kernel.obs.metrics.value("net.messages_sent") > sent_before
     assert world.check_invariants() == []
 
 

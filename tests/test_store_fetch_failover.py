@@ -65,7 +65,7 @@ def test_fetch_fails_over_to_replica_across_partition():
         return (yield from repo.fetch(element, failover=True))
 
     assert kernel.run_process(proc()) == "payload"
-    assert net.transport.stats.failovers == 1
+    assert net.kernel.obs.metrics.value("rpc.failovers") == 1
 
 
 def test_fetch_without_failover_respects_the_partition():
@@ -117,7 +117,7 @@ def test_dynamic_drain_completes_through_failover_under_partition():
     result = kernel.run_process(proc())
     assert not result.failed
     assert len(result.elements) == 8
-    assert net.transport.stats.failovers > 0
+    assert net.kernel.obs.metrics.value("rpc.failovers") > 0
 
 
 def test_quorum_drain_survives_minority_partition():

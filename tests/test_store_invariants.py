@@ -92,7 +92,7 @@ def test_invariants_hold_after_churn_with_faults():
     # add whose cleanup could not reach an isolated home is reclaimed
     for proc in scenario.kernel.processes():
         if proc.name == "mutator":
-            proc._kill()
+            proc.kill()
     scenario.net.heal()
     scenario.kernel.run(until=scenario.kernel.now + 12.0)
     assert scenario.world.check_invariants() == []
