@@ -25,8 +25,7 @@ from .server import (
     CollectionState,
     ObjectServer,
     POLICIES,
-    batch_add_step,
-    batch_erase_step,
+    add_step,
     erase_step,
 )
 from .sharding import HashRing, ShardMap, shard_state_id
@@ -65,9 +64,8 @@ __all__ = [
     "WritePipeline",
     "WritePlanner",
     "WriteResult",
+    "add_step",
     "apply_delta",
-    "batch_add_step",
-    "batch_erase_step",
     "erase_step",
     "figure2_world",
     "fresh_oid",

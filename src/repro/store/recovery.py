@@ -34,7 +34,7 @@ from ..errors import FailureException, SimulationError
 from ..net.executor import PRIORITY_LOW
 from ..net.resilience import ResilientClient, RetryPolicy
 from ..sim.events import Sleep
-from .server import ObjectServer, batch_add_step, batch_erase_step, erase_step
+from .server import ObjectServer, add_step, erase_step
 from .wal import PENDING, IntentRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,59 +111,38 @@ class RecoveryManager:
                     state.sealed = True
                 server.wal.commit(record)
                 return True
-            if record.kind == "add-batch":
-                if state is None or not record.elements:
-                    server.wal.abort(record)
-                    return True
-                for item in record.elements:
-                    existing = state.members.get(item.name)
-                    if existing is None:
-                        state.members[item.name] = item
-                        server.wal.mark(record, batch_add_step(item))
-                    elif existing == item:
-                        server.wal.mark(record, batch_add_step(item))
-                    # else: a different element claimed the name after the
-                    # crash — leave it; _finish_add_batch skips this item.
-                server._finish_add_batch(state, record)
-                self._m_replayed.inc()
-                return True
-            if record.kind == "erase-batch":
-                if state is None or not record.elements:
-                    server.wal.abort(record)
-                    return True
-                for item in record.elements:
-                    ok = yield from self._erase_copies(
-                        server, record, item, step_of=batch_erase_step)
-                    if not ok:
-                        return False
-                server._finish_erase_batch(state, record.elements, record)
-                self._m_replayed.inc()
-                return True
-            element = record.element
-            if state is None or element is None:
+            if state is None or not record.elements:
                 server.wal.abort(record)
                 return True
-            ok = yield from self._erase_copies(server, record, element)
-            if not ok:
-                return False
-            server._finish_erase(state, element, record)
+            if record.kind == "add":
+                for item in record.elements:
+                    state.members.setdefault(item.name, item)
+                    # A different element may have claimed the name after
+                    # the crash — leave it; _commit_add skips this item.
+                    if state.members[item.name] == item:
+                        server.wal.mark(record, add_step(item))
+                server._commit_add(state, record)
+            else:                                # "erase"
+                for item in record.elements:
+                    ok = yield from self._erase_copies(server, record, item)
+                    if not ok:
+                        return False
+                server._commit_erase(state, record.elements, record)
             self._m_replayed.inc()
             return True
         finally:
             record.in_flight = False
 
     def _erase_copies(self, server: ObjectServer, record: IntentRecord,
-                      element, step_of=erase_step) -> Generator[object, object, bool]:
+                      element) -> Generator[object, object, bool]:
         """Idempotently re-delete one element's unmarked copies.
 
-        ``step_of`` picks the step namespace: plain erase intents use
-        ``erase_step`` names, batch intents the per-item
-        ``batch_erase_step`` names.  Returns False (intent stays
-        pending) when a holder is unreachable or this node goes down.
+        Returns False (intent stays pending) when a holder is
+        unreachable or this node goes down.
         """
         net = self.world.net
         for holder in element.replicas + (element.home,):
-            step = step_of(element, holder)
+            step = erase_step(element, holder)
             if record.done(step):
                 continue
             try:
@@ -283,11 +262,12 @@ class RepairDaemon:
             if alive is False and state.members.get(name) == element:
                 # The home *answered* and the object is dead: a removal
                 # outran its log (or there was no log).  Complete it by
-                # logging a fresh intent and rolling it forward (not via
-                # _erase_member — the scrub daemon is not a node-tracked
-                # handler, so it must never execute armed crash points).
-                record = server.wal.append("erase", state.coll_id, element,
-                                           origin="scrub")
+                # logging a fresh erase intent and rolling it forward
+                # (not via ObjectServer._erase — the scrub daemon is not
+                # a node-tracked handler, so it must never execute armed
+                # crash points).
+                record = server.wal.append("erase", state.coll_id,
+                                           (element,), origin="scrub")
                 done = yield from self.world.recovery.roll_forward(server, record)
                 if done:
                     healed += 1
@@ -342,8 +322,6 @@ class RepairDaemon:
                     referenced.add(element.oid)
         for server in self.world.servers.values():
             for record in server.wal.pending():
-                if record.element is not None:
-                    referenced.add(record.element.oid)
                 for element in record.elements:
                     referenced.add(element.oid)
         collected = 0

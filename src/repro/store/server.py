@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .world import World
 
 __all__ = ["ObjectServer", "CollectionState", "POLICIES", "erase_step",
-           "batch_erase_step", "batch_add_step"]
+           "add_step"]
 
 POLICIES = ("any", "grow-only", "grow-during-run", "immutable")
 
@@ -63,25 +63,19 @@ POLICIES = ("any", "grow-only", "grow-during-run", "immutable")
 def erase_step(element: Element, holder: NodeId) -> str:
     """The WAL step name for deleting ``element``'s copy at ``holder``.
 
-    The home delete gets the distinguished name ``"home-deleted"`` —
-    it is the step crash-injection cares about most, being the last
-    remote action before the membership pop.
+    Namespaced by oid (``"<oid>:deleted:<node>"``), so one ``erase``
+    record can track every item's progress.  The home delete gets the
+    distinguished base name ``"home-deleted"`` — it is the step
+    crash-injection cares about most, being the last remote action
+    before the membership pop.  Crash points armed at the bare base step
+    still fire via the log's suffix matching.
     """
-    return "home-deleted" if holder == element.home else f"deleted:{holder}"
+    base = "home-deleted" if holder == element.home else f"deleted:{holder}"
+    return f"{element.oid}:{base}"
 
 
-def batch_erase_step(element: Element, holder: NodeId) -> str:
-    """Per-item WAL step inside an ``erase-batch`` intent.
-
-    Namespaced by oid so one record can track every item's progress;
-    crash points armed at the bare base step (``"home-deleted"``) still
-    fire via the log's suffix matching.
-    """
-    return f"{element.oid}:{erase_step(element, holder)}"
-
-
-def batch_add_step(element: Element) -> str:
-    """Per-item WAL step inside an ``add-batch`` intent."""
+def add_step(element: Element) -> str:
+    """The WAL step name marking ``element``'s insert in an ``add`` intent."""
     return f"{element.name}:added"
 
 
@@ -153,50 +147,39 @@ class ObjectServer:
     # data objects
     # ------------------------------------------------------------------
     def get_object(self, oid: ObjectId) -> Generator[Any, Any, Any]:
-        """Fetch a data object.
-
-        The reply is a :class:`~repro.net.wire.Blob` carrying the
-        object's declared size, so the transfer cost is charged by the
-        wire (link bandwidth + queueing), not as server service time —
-        the server only pays its fixed per-request service time.
-        """
-        yield Sleep(self.world.service_time)
-        obj = self.objects.get(oid)
-        if obj is None or obj.deleted:
+        """Fetch a data object: a one-item :meth:`get_objects` that fails
+        with ``NoSuchObjectError`` when this home holds no live copy."""
+        [(status, value)] = yield from self.get_objects((oid,))
+        if status != "ok":
             raise NoSuchObjectError(f"{oid} not stored on {self.node_id}")
-        return Blob(obj.value, obj.size)
+        return value
 
     def get_object_replica(self, oid: ObjectId) -> Generator[Any, Any, Any]:
-        """Fetch a *replica copy* of a data object.
-
-        Replicas are never authoritative about removal: a missing or
-        tombstoned copy here means only "no usable copy at this node",
-        so the caller sees :class:`UnreachableObjectFailure` and may try
-        elsewhere.  Only the home's :meth:`get_object` may report the
-        object as definitively gone (``NoSuchObjectError``) — the
-        distinction the failover path relies on to never invent, and
-        never prematurely bury, an element.
-        """
-        yield Sleep(self.world.service_time)
-        obj = self.objects.get(oid)
-        if obj is None or obj.deleted:
+        """Fetch a *replica copy*: a one-item :meth:`get_objects_replica`
+        that fails with ``UnreachableObjectFailure`` on a miss."""
+        [(status, value)] = yield from self.get_objects_replica((oid,))
+        if status != "ok":
             raise UnreachableObjectFailure(
                 f"no live replica copy of {oid} on {self.node_id}"
             )
-        return Blob(obj.value, obj.size)
+        return value
 
     def get_objects(
         self, oids: Sequence[ObjectId]
     ) -> Generator[Any, Any, tuple[tuple[str, Any], ...]]:
         """Batched multi-get: one service-time charge for the whole
-        batch (the bytes are charged on the wire), then a per-oid outcome.
+        batch, then a per-oid outcome.
 
-        Unlike :meth:`get_object`, a missing object does not fail the
-        call — the batch answers ``("ok", value)`` or ``("gone", None)``
-        per oid, so one removed element cannot poison its batchmates.
-        All outcomes are evaluated at the same serve instant, which is
-        what lets a client treat the whole reply as one membership
-        sample.
+        Each value is a :class:`~repro.net.wire.Blob` carrying the
+        object's declared size, so the transfer cost is charged by the
+        wire (link bandwidth + queueing), not as server service time —
+        the server only pays its fixed per-request service time.
+
+        A missing object does not fail the call — the batch answers
+        ``("ok", value)`` or ``("gone", None)`` per oid, so one removed
+        element cannot poison its batchmates.  All outcomes are evaluated
+        at the same serve instant, which is what lets a client treat the
+        whole reply as one membership sample.
         """
         if not oids:
             return ()
@@ -214,9 +197,16 @@ class ObjectServer:
         self, oids: Sequence[ObjectId]
     ) -> Generator[Any, Any, tuple[tuple[str, Any], ...]]:
         """Batched replica multi-get: ``("ok", value)`` or ``("miss",
-        None)`` per oid.  As with :meth:`get_object_replica`, a missing
-        copy is never authoritative about removal — "miss" only means
-        "no usable copy here, try elsewhere"."""
+        None)`` per oid.
+
+        Replicas are never authoritative about removal: a missing or
+        tombstoned copy here means only "no usable copy at this node",
+        so the caller may try elsewhere.  Only the home's
+        :meth:`get_objects` may report the object as definitively gone
+        (``"gone"``, or ``NoSuchObjectError`` from :meth:`get_object`) —
+        the distinction the failover path relies on to never invent, and
+        never prematurely bury, an element.
+        """
         if not oids:
             return ()
         yield Sleep(self.world.service_time)
@@ -230,19 +220,17 @@ class ObjectServer:
         return tuple(outcomes)
 
     def put_object(self, oid: ObjectId, value: Any, size: int = 0) -> Generator[Any, Any, int]:
-        # Re-creating a tombstoned object resumes from the tombstone's
-        # version: version numbers stay monotonic per oid, so a stale
-        # reader can never mistake the reborn object for the old one.
-        yield Sleep(self.world.service_time)
-        return self._store(oid, value, size)
+        """Store one data object: a one-item :meth:`put_objects`."""
+        [version] = yield from self.put_objects(((oid, value, size),))
+        return version
 
     def put_objects(
         self, entries: Sequence[tuple[ObjectId, Any, int]]
     ) -> Generator[Any, Any, tuple[int, ...]]:
         """Batched multi-put: one service-time charge for the whole
-        batch, then each ``(oid, value, size)`` entry is stored exactly
-        as :meth:`put_object` would — update in place, or resume the
-        version from a tombstone.  Returns the per-oid versions.
+        batch, then each ``(oid, value, size)`` entry is stored — update
+        in place, or resume the version from a tombstone.  Returns the
+        per-oid versions.
 
         No WAL intent is needed here: unlike a membership batch, the
         stores all land at the same serve instant (nothing yields
@@ -260,6 +248,9 @@ class ObjectServer:
         return tuple(versions)
 
     def _store(self, oid: ObjectId, value: Any, size: int) -> int:
+        # Re-creating a tombstoned object resumes from the tombstone's
+        # version: version numbers stay monotonic per oid, so a stale
+        # reader can never mistake the reborn object for the old one.
         value = unwrap(value)  # writers ship Blobs so puts cost wire bytes
         existing = self.objects.get(oid)
         if existing is not None and not existing.deleted:
@@ -384,126 +375,20 @@ class ObjectServer:
                         retry_after=self.MIGRATION_RETRY_AFTER)
 
     def add_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
-        yield Sleep(self.world.service_time)
-        state = self._primary(coll_id)
-        self._shard_guard(state, (element.name,))
-        if state.sealed:
-            raise MutationNotAllowed(f"{coll_id} is sealed (immutable)")
-        if element.name in state.members:
-            existing = state.members[element.name]
-            if existing == element:
-                return state.version  # idempotent re-add
-            raise MutationNotAllowed(
-                f"{coll_id} already has a member named {element.name!r}"
-            )
-        state.members[element.name] = element
-        state.version += 1
-        state.member_versions[element.name] = state.version
-        self.world._membership_changed(coll_id)
-        return state.version
+        """Register one member: a one-item :meth:`add_members`."""
+        return (yield from self.add_members(coll_id, (element,)))
 
     def remove_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
-        """Remove a member (policy permitting).
+        """Remove one member: a one-item :meth:`remove_members`."""
+        return (yield from self.remove_members(coll_id, (element,)))
 
-        The member's *data object* is deleted at its home first, then the
-        membership entry is dropped, so "object exists at its home"
-        implies "still a member" — the invariant the optimistic iterator
-        relies on to avoid yielding elements stale replicas still list.
-        """
-        yield Sleep(self.world.service_time)
-        state = self._primary(coll_id)
-        self._shard_guard(state, (element.name,))
-        if state.policy == "grow-only":
-            raise MutationNotAllowed(f"{coll_id} is grow-only; remove rejected")
-        if state.sealed or state.policy == "immutable":
-            raise MutationNotAllowed(f"{coll_id} is immutable; remove rejected")
-        current = state.members.get(element.name)
-        if current is None or current != element:
-            return state.version  # already gone: removal is idempotent
-        if state.policy == "grow-during-run" and state.active_iterations:
-            # §3.3 ghost protocol: defer the removal until no iteration
-            # is in progress; the member remains visible (the set only
-            # grows during a run).
-            state.ghosts.add(element.name)
-            return state.version
-        yield from self._erase_member(state, element)
-        return state.version
-
-    def _erase_member(self, state: CollectionState, element: Element,
-                      origin: str = "remove") -> Generator:
-        # Delete the data objects first (possibly remote calls), replica
-        # copies before the home.  Ordering matters for the failover
-        # path: a live replica copy must always imply "still a member",
-        # so copies disappear strictly before the authoritative home
-        # does, and membership is popped only after every delete
-        # succeeded.  If any holder is unreachable from the primary, the
-        # failure propagates and the membership is left intact.
-        #
-        # The whole sequence is write-ahead logged: the intent lands
-        # before the first delete, each completed step is marked, and a
-        # crash at any point leaves a pending record recovery can roll
-        # forward.  A clean failure (unreachable holder) aborts the
-        # intent — the client saw the error and membership is untouched,
-        # so there is nothing to recover.
-        record = self.wal.append("erase", state.coll_id, element, origin=origin)
-        # While this handler lives, it owns the intent: the scrub daemon
-        # skips in-flight records, so a half-done erase is never doubly
-        # executed.  A crash kills the handler, whose generator close
-        # runs this ``finally`` — the record reverts to plain pending
-        # and recovery takes over.
-        record.in_flight = True
-        try:
-            yield from self.wal.step(record, "begin")
-            try:
-                for holder in element.replicas + (element.home,):
-                    step = erase_step(element, holder)
-                    if record.done(step):
-                        continue
-                    if holder == self.node_id:
-                        yield from self.delete_object(element.oid)
-                    else:
-                        yield from self.world.net.call(
-                            self.node_id, holder, self.SERVICE, "delete_object",
-                            element.oid
-                        )
-                    yield from self.wal.step(record, step)
-            except FailureException:
-                self.wal.abort(record)
-                raise
-            self._finish_erase(state, element, record)
-        finally:
-            record.in_flight = False
-
-    def _finish_erase(self, state: CollectionState, element: Element,
-                      record: IntentRecord) -> None:
-        """The final, purely local erase step: pop membership, tombstone.
-
-        Idempotent (recovery and scrub may race a resumed handler): the
-        pop happens only if this exact element is still listed, and the
-        intent commits either way.
-        """
-        if state.members.get(element.name) == element:
-            state.members.pop(element.name, None)
-            state.ghosts.discard(element.name)
-            state.member_versions.pop(element.name, None)
-            state.version += 1
-            state.removed[element.name] = (state.version, element)
-            state.unverified_removals.add(element.name)
-            self.wal.mark(record, "membership")
-            self.wal.commit(record)
-            self.world._membership_changed(state.coll_id)
-        else:
-            self.wal.commit(record)
-
-    # ------------------------------------------------------------------
-    # collections: batched mutation (primary only, group commit)
-    # ------------------------------------------------------------------
     def add_members(self, coll_id: str,
                     elements: Sequence[Element]) -> Generator[Any, Any, int]:
         """Register a batch of members under one WAL intent (group commit).
 
         Validation happens up front — a sealed collection or a name
-        conflict fails the whole batch before anything mutates.  Each
+        conflict (with a current member, or between two elements of the
+        batch) fails the whole batch before anything mutates.  Each
         accepted element is inserted and then step-marked
         (``"<name>:added"``), so a crash mid-batch leaves an intent
         recovery can finish item-precisely: marked items are skipped,
@@ -517,34 +402,35 @@ class ObjectServer:
         self._shard_guard(state, [e.name for e in elements])
         if state.sealed:
             raise MutationNotAllowed(f"{coll_id} is sealed (immutable)")
-        to_add: list[Element] = []
+        accepted: dict[str, Element] = {}
         for element in elements:
-            existing = state.members.get(element.name)
+            existing = state.members.get(element.name,
+                                         accepted.get(element.name))
             if existing is not None:
                 if existing == element:
                     continue                     # idempotent re-add
                 raise MutationNotAllowed(
                     f"{coll_id} already has a member named {element.name!r}"
                 )
-            to_add.append(element)
-        if not to_add:
+            accepted[element.name] = element
+        if not accepted:
             return state.version
-        record = self.wal.append("add-batch", coll_id, origin="add_many",
-                                 elements=tuple(to_add))
+        record = self.wal.append("add", coll_id, tuple(accepted.values()),
+                                 origin="add")
         record.in_flight = True
         try:
             yield from self.wal.step(record, "begin")
-            for element in to_add:
+            for element in record.elements:
                 state.members[element.name] = element
-                yield from self.wal.step(record, batch_add_step(element))
-            self._finish_add_batch(state, record)
+                yield from self.wal.step(record, add_step(element))
+            self._commit_add(state, record)
         finally:
             record.in_flight = False
         return state.version
 
-    def _finish_add_batch(self, state: CollectionState,
-                          record: IntentRecord) -> None:
-        """Final local step of an add batch: one coalesced version bump.
+    def _commit_add(self, state: CollectionState,
+                    record: IntentRecord) -> None:
+        """Final local step of an add: one coalesced version bump.
 
         Idempotent (a resumed handler may race recovery): only elements
         actually present and not yet stamped with a member version are
@@ -567,19 +453,15 @@ class ObjectServer:
 
     def remove_members(self, coll_id: str,
                        elements: Sequence[Element]) -> Generator[Any, Any, int]:
-        """Remove a batch of members under one WAL intent (group commit).
+        """Remove a batch of members (policy permitting) under one WAL
+        intent (group commit).
 
         Policy checks and idempotent/ghost filtering happen up front;
-        the surviving targets share one ``erase-batch`` record whose
-        per-item steps (``"<oid>:deleted:<node>"``,
-        ``"<oid>:home-deleted"``) are marked as each copy dies — replica
-        copies strictly before the home, the same order the single
-        erase keeps, so "live copy implies member" survives batching.
-        Membership pops are deferred to the end and coalesced into one
-        version bump.  A clean failure mid-batch (unreachable holder)
-        commits the fully-erased prefix, leaves the rest members, and
-        propagates the failure — item-precise partial application;
-        removal is idempotent, so the client may simply retry.
+        the surviving targets are erased by :meth:`_erase`.  Each
+        member's *data object* is deleted at its home before its
+        membership entry is dropped, so "object exists at its home"
+        implies "still a member" — the invariant the optimistic iterator
+        relies on to avoid yielding elements stale replicas still list.
         """
         yield Sleep(self.world.service_time)
         state = self._primary(coll_id)
@@ -594,19 +476,51 @@ class ObjectServer:
             if current is None or current != element:
                 continue                         # already gone: idempotent
             if state.policy == "grow-during-run" and state.active_iterations:
-                state.ghosts.add(element.name)   # §3.3 deferral, per item
+                # §3.3 ghost protocol: defer the removal until no
+                # iteration is in progress; the member remains visible
+                # (the set only grows during a run).
+                state.ghosts.add(element.name)
                 continue
             targets.append(element)
-        if not targets:
-            return state.version
-        record = self.wal.append("erase-batch", coll_id, origin="remove_many",
-                                 elements=tuple(targets))
+        if targets:
+            yield from self._erase(state, tuple(targets), origin="remove")
+        return state.version
+
+    def _erase(self, state: CollectionState, elements: tuple[Element, ...],
+               origin: str) -> Generator:
+        """Erase ``elements`` under one ``erase`` intent.
+
+        Each element's data objects are deleted first (possibly remote
+        calls), replica copies before the home.  Ordering matters for
+        the failover path: a live replica copy must always imply "still
+        a member", so copies disappear strictly before the authoritative
+        home does, and membership is popped only after every delete of
+        that element succeeded.  Each completed delete is step-marked
+        (``"<oid>:deleted:<node>"``, ``"<oid>:home-deleted"``), and a
+        crash at any point leaves a pending record recovery can roll
+        forward.  The pops are deferred to the end and coalesced into
+        one version bump.
+
+        A clean failure (unreachable holder) commits the fully-erased
+        prefix, leaves the rest members, and propagates — item-precise
+        partial application; removal is idempotent, so the client may
+        simply retry.  With no element fully erased, nothing irreversible
+        happened to membership, so the intent aborts: the client saw the
+        error and there is nothing to recover.
+        """
+        record = self.wal.append("erase", state.coll_id, elements,
+                                 origin=origin)
+        # While this handler lives, it owns the intent: the scrub daemon
+        # skips in-flight records, so a half-done erase is never doubly
+        # executed.  A crash kills the handler, whose generator close
+        # runs this ``finally`` — the record reverts to plain pending
+        # and recovery takes over.
         record.in_flight = True
         try:
             yield from self.wal.step(record, "begin")
             erased: list[Element] = []
             failure: Optional[FailureException] = None
-            for element in targets:
+            for element in elements:
                 try:
                     yield from self._erase_copies(record, element)
                 except FailureException as exc:
@@ -614,22 +528,19 @@ class ObjectServer:
                     break
                 erased.append(element)
             if failure is not None and not erased:
-                # Nothing irreversible for any completed item: behave
-                # like the single erase's clean failure.
                 self.wal.abort(record)
                 raise failure
-            self._finish_erase_batch(state, erased, record)
+            self._commit_erase(state, erased, record)
             if failure is not None:
                 raise failure
         finally:
             record.in_flight = False
-        return state.version
 
     def _erase_copies(self, record: IntentRecord, element: Element) -> Generator:
         """Delete one element's copies (replicas before home), marking
-        the batch-namespaced step after each delete lands."""
+        its step after each delete lands."""
         for holder in element.replicas + (element.home,):
-            step = batch_erase_step(element, holder)
+            step = erase_step(element, holder)
             if record.done(step):
                 continue
             if holder == self.node_id:
@@ -641,14 +552,17 @@ class ObjectServer:
                 )
             yield from self.wal.step(record, step)
 
-    def _finish_erase_batch(self, state: CollectionState,
-                            elements: Sequence[Element],
-                            record: IntentRecord) -> None:
-        """Pop a batch's memberships under one coalesced version bump.
+    def _commit_erase(self, state: CollectionState,
+                      elements: Sequence[Element],
+                      record: IntentRecord) -> None:
+        """The final, purely local erase step: pop memberships and
+        tombstone them under one coalesced version bump.
 
-        Idempotent, like :meth:`_finish_erase`; every tombstone carries
-        the single post-batch version, so a replica syncs the whole
-        group of removals as one jump.
+        Idempotent (recovery and scrub may race a resumed handler): an
+        element is popped only if it is still listed, and the intent
+        commits either way.  Every tombstone carries the single
+        post-erase version, so a replica syncs the whole group of
+        removals as one jump.
         """
         popped = [e for e in elements if state.members.get(e.name) == e]
         if popped:
@@ -669,7 +583,7 @@ class ObjectServer:
         """Freeze an ``immutable`` collection after initial population."""
         yield Sleep(self.world.service_time)
         state = self._primary(coll_id)
-        record = self.wal.append("seal", coll_id, origin="seal")
+        record = self.wal.append("seal", coll_id, (), origin="seal")
         record.in_flight = True
         try:
             yield from self.wal.step(record, "begin")
@@ -697,7 +611,8 @@ class ObjectServer:
                 if element is None:
                     continue
                 try:
-                    yield from self._erase_member(state, element, origin="purge")
+                    # One intent per ghost, so a failure skips only it.
+                    yield from self._erase(state, (element,), origin="purge")
                     purged += 1
                 except FailureException:
                     # The ghost's home is unreachable right now; leave it

@@ -1,20 +1,20 @@
 """Per-server write-ahead intent logs.
 
 The servers are durable (objects and membership survive a crash), but
-multi-step mutations are not atomic: ``ObjectServer._erase_member``
-deletes replica copies, then the home object, then pops the membership
-entry — and a crash between any two steps used to leave the collection
-silently inconsistent (a member with no live home object, or a live
-copy of an element nobody lists).  The intent log closes that window
-the way a file server would: the primary *logs the intent* before
-executing, marks each completed step, and commits only once the final
-local step lands.  Recovery (:mod:`repro.store.recovery`) rolls pending
-intents forward; completed steps are never re-done, incomplete ones are
-idempotent re-deletes.
+multi-step mutations are not atomic: ``ObjectServer._erase`` deletes
+each element's replica copies, then its home object, then pops the
+membership entries — and a crash between any two steps used to leave
+the collection silently inconsistent (a member with no live home
+object, or a live copy of an element nobody lists).  The intent log
+closes that window the way a file server would: the primary *logs the
+intent* before executing, marks each completed step, and commits only
+once the final local step lands.  Recovery
+(:mod:`repro.store.recovery`) rolls pending intents forward; completed
+steps are never re-done, incomplete ones are idempotent re-deletes.
 
 The log also doubles as the crash-*injection* surface: a test or the
 :class:`~repro.net.failures.FaultInjector` can *arm* a one-shot crash
-point at a named step (``"begin"``, ``"deleted:<node>"``,
+point at a named step (``"begin"``, ``"added"``, ``"deleted:<node>"``,
 ``"home-deleted"``), and the node crashes exactly when its next intent
 reaches that step — deterministic crash-mid-operation, something
 wall-clock fault injection can only approximate.
@@ -53,15 +53,17 @@ class IntentRecord:
     ``steps`` records completed step names in order; a step that is in
     the list genuinely happened (the mark lands before any crash point
     fires), so recovery can skip it and re-execute only the rest.
+    Every kind shares one step scheme: ``"begin"``, then per item
+    ``"<name>:added"`` or ``"<oid>:deleted:<node>"`` /
+    ``"<oid>:home-deleted"``, then ``"membership"``.
     """
 
     intent_id: int
-    kind: str                       # "erase" | "seal" | "add-batch" | "erase-batch"
-    origin: str                     # "remove" | "purge" | "scrub" | "seal" | ...
+    kind: str                       # "add" | "erase" | "seal"
+    origin: str                     # "add" | "remove" | "purge" | "scrub" | "seal"
     coll_id: str
-    element: Optional[Element] = None
-    #: batch intents (group commit): every element covered by this one
-    #: record, each with its own per-item steps.
+    #: every element this record covers (group commit), each with its
+    #: own per-item steps; empty for a seal.
     elements: tuple[Element, ...] = ()
     status: str = PENDING
     steps: list[str] = field(default_factory=list)
@@ -73,9 +75,9 @@ class IntentRecord:
         return step in self.steps
 
     def __repr__(self) -> str:
-        what = self.element.name if self.element is not None else self.coll_id
-        return (f"Intent#{self.intent_id}({self.kind}/{self.origin} {what!r}, "
-                f"{self.status}, steps={self.steps})")
+        names = [e.name for e in self.elements]
+        return (f"Intent#{self.intent_id}({self.kind}/{self.origin} "
+                f"{self.coll_id!r} {names}, {self.status}, steps={self.steps})")
 
 
 class IntentLog:
@@ -98,14 +100,12 @@ class IntentLog:
         return self.world.recovery_enabled
 
     # -- logging ----------------------------------------------------------
-    def append(self, kind: str, coll_id: str, element: Optional[Element] = None,
-               origin: str = "remove",
-               elements: tuple[Element, ...] = ()) -> IntentRecord:
+    def append(self, kind: str, coll_id: str, elements: tuple[Element, ...],
+               origin: str) -> IntentRecord:
         """Log an intent *before* its first step executes."""
         record = IntentRecord(
             intent_id=next(self._ids), kind=kind, origin=origin,
-            coll_id=coll_id, element=element, elements=tuple(elements),
-            logged_at=self.world.now,
+            coll_id=coll_id, elements=elements, logged_at=self.world.now,
         )
         if self.enabled:
             self.records.append(record)
@@ -183,12 +183,12 @@ class IntentLog:
 
     @staticmethod
     def _step_matches(armed: str, step: str) -> bool:
-        """Exact match, or per-item match inside a batch intent.
+        """Exact match, or per-item match inside an intent.
 
-        Batch steps are namespaced ``"<item>:<base-step>"`` (e.g.
+        Item steps are namespaced ``"<item>:<base-step>"`` (e.g.
         ``"oid-7:home-deleted"``, ``"m0003:added"``), so arming the bare
         base step — the only name a fault plan can know ahead of time —
-        fires on any item of any batch that reaches it.
+        fires on any item of any intent that reaches it.
         """
         return armed == step or step.endswith(":" + armed)
 

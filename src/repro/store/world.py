@@ -594,6 +594,7 @@ class World:
         for coll_id, info in self.collections.items():
             partitions = self.partition_states(coll_id)
             smap = info.shard_map
+            current = self._current_value(info)
             for shard, state in partitions:
                 # 1. every member's data object exists at its home
                 for name, element in state.members.items():
@@ -612,7 +613,6 @@ class World:
                 #    exact element is currently a member again (a handoff
                 #    keeps the old tombstone next to the re-absorbed
                 #    member) — that element is alive, not an orphan.
-                current = self._current_value(info)
                 for name, (_, element) in state.removed.items():
                     if element in current:
                         continue
@@ -643,7 +643,7 @@ class World:
                             f"{coll_id}: replica {node} disagrees with {shard} "
                             "at the same version")
             # 4. the recorded history ends at the current truth
-            if info.history and info.history[-1][1] != self._current_value(info):
+            if info.history and info.history[-1][1] != current:
                 problems.append(
                     f"{coll_id}: membership history is stale")
             # 8. shard placement: every listed member sits at a shard the
@@ -679,13 +679,14 @@ class World:
                 #     partition; a node off the ring holds no members
                 #     once its drop has settled.
                 hosted = {shard for shard, _ in partitions}
+                on_ring = self.partition_nodes(coll_id)
                 for shard in smap.shards:
                     if shard not in hosted:
                         problems.append(
                             f"{coll_id}: ring node {shard} hosts no partition "
                             "(orphaned key range)")
                 for node, server in sorted(self.servers.items()):
-                    if node in self.partition_nodes(coll_id):
+                    if node in on_ring:
                         continue
                     stale = server.collections.get(coll_id)
                     if stale is not None and stale.is_primary and stale.members:
@@ -717,8 +718,6 @@ class World:
                     referenced.add(element.oid)
         for node, server in sorted(self.servers.items()):
             for record in server.wal.pending():
-                if record.element is not None:
-                    referenced.add(record.element.oid)
                 for element in record.elements:
                     referenced.add(element.oid)
         for node, server in sorted(self.servers.items()):

@@ -26,7 +26,7 @@ SCRUB = 1.0
 
 
 def run_schedule(seed, recovery_enabled):
-    """One seeded crash/recover schedule; returns (world, problems)."""
+    """One seeded crash/recover schedule; returns (world, problems, victim)."""
     kernel, net, world, elements = standard_world(
         members=8, replicas=2, seed=seed, recovery_enabled=recovery_enabled,
         scrub_interval=SCRUB)
@@ -63,29 +63,29 @@ def run_schedule(seed, recovery_enabled):
         if not net.node(node).up:
             net.recover(node)
     kernel.run(until=kernel.now + 4 * SCRUB)         # replay + scrub settle
-    return world, world.check_invariants()
+    return world, world.check_invariants(), victim
 
 
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))
 def test_wal_recovery_survives_mid_erase_crash(seed):
-    world, problems = run_schedule(seed, recovery_enabled=True)
+    world, problems, victim = run_schedule(seed, recovery_enabled=True)
     assert problems == []
     # the interrupted removal was rolled forward, not lost
     wal = world.server(PRIMARY).wal
     assert wal.pending() == []
-    assert any(r.done("home-deleted") for r in wal.records)
+    assert any(r.done(f"{victim.oid}:home-deleted") for r in wal.records)
 
 
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))
 def test_ablation_same_schedule_violates_without_recovery(seed):
-    world, problems = run_schedule(seed, recovery_enabled=False)
+    world, problems, _ = run_schedule(seed, recovery_enabled=False)
     assert len(problems) >= 1
     assert any("no live object" in p for p in problems)
 
 
 def test_soak_schedules_are_deterministic():
-    w1, p1 = run_schedule(0, recovery_enabled=True)
-    w2, p2 = run_schedule(0, recovery_enabled=True)
+    w1, p1, _ = run_schedule(0, recovery_enabled=True)
+    w2, p2, _ = run_schedule(0, recovery_enabled=True)
     assert p1 == p2 == []
     snap1 = w1.kernel.obs.metrics.snapshot()
     snap2 = w2.kernel.obs.metrics.snapshot()

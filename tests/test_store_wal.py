@@ -5,7 +5,7 @@ import pytest
 from repro.errors import FailureException
 from repro.net.failures import FaultSchedule
 from repro.sim.events import Sleep
-from repro.store import Repository
+from repro.store import AddSpec, Repository
 from repro.store.wal import ABORTED, APPLIED, PENDING
 
 from helpers import CLIENT, PRIMARY, standard_world
@@ -25,7 +25,7 @@ def test_erase_is_intent_logged_and_committed():
     assert record.kind == "erase" and record.origin == "remove"
     assert record.status is APPLIED
     assert record.done("begin")
-    assert record.done("home-deleted")
+    assert record.done(f"{victim.oid}:home-deleted")
     assert record.done("membership")
     assert world.check_invariants() == []
 
@@ -46,7 +46,7 @@ def test_failed_erase_aborts_intent_and_keeps_member():
     wal = world.server(PRIMARY).wal
     [record] = wal.records
     assert record.status is ABORTED
-    assert not record.done("home-deleted")
+    assert not record.done(f"{victim.oid}:home-deleted")
     assert victim in world.true_members("coll")   # deviation #3: remove fails whole
     net.rejoin("s2")
     assert world.check_invariants() == []
@@ -72,7 +72,8 @@ def test_crash_point_freezes_intent_mid_erase():
     assert not net.node(PRIMARY).up
     [record] = server.wal.pending()
     assert record.status is PENDING
-    assert record.done("home-deleted") and not record.done("membership")
+    assert record.done(f"{victim.oid}:home-deleted")
+    assert not record.done("membership")
     # the inconsistent window is real: member listed, home object dead
     assert victim.name in server.collections["coll"].members
     assert not server.has_object(victim.oid)
@@ -260,3 +261,48 @@ def test_intent_retention_follows_recovery_flag(enabled):
     wal = world.server(PRIMARY).wal
     assert bool(wal.records) is enabled
     assert elements[0] not in world.true_members("coll")
+
+
+MUTATION_STEPS = (
+    [(entry, step) for entry in ("add", "add_many")
+     for step in ("begin", "added")]
+    + [(entry, step) for entry in ("remove", "remove_many")
+       for step in ("begin", "deleted:s2", "home-deleted")]
+)
+
+
+@pytest.mark.parametrize("entry,step", MUTATION_STEPS)
+def test_crash_at_every_wal_step_of_every_mutation_settles(entry, step):
+    """Every mutation entry point, crashed at each of its WAL steps on
+    an element with one object replica (on s2), rolls forward clean."""
+    kernel, net, world, _ = standard_world(scrub_interval=1.0)
+    victim = world.seed_member("coll", "victim", home="s1", replicas=("s2",))
+    server = world.server(PRIMARY)
+    server.wal.arm_crash(step)
+    schedule = FaultSchedule().recover_at(2.0, PRIMARY)
+    kernel.spawn(schedule.run(net), name="schedule", daemon=True)
+    repo = Repository(world, CLIENT)
+    spec = AddSpec("fresh", value=1, home="s1", replicas=("s2",))
+
+    def proc():
+        try:
+            if entry == "add":
+                yield from repo.add("coll", spec.name, value=spec.value,
+                                    home=spec.home, replicas=spec.replicas)
+            elif entry == "add_many":
+                yield from repo.add_many("coll", [spec], window=1,
+                                         batch_size=1)
+            elif entry == "remove":
+                yield from repo.remove("coll", victim)
+            else:
+                yield from repo.remove_many("coll", [victim], window=1,
+                                            batch_size=1)
+        except FailureException:
+            pass
+
+    kernel.run_process(proc())
+    kernel.run(until=kernel.now + 8.0)      # replay + scrub + orphan GC
+    assert kernel.obs.metrics.value("wal.crash_points") == 1
+    assert net.node(PRIMARY).up
+    assert server.wal.pending() == []
+    assert world.check_invariants() == []

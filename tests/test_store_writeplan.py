@@ -158,7 +158,7 @@ def test_add_members_batch_is_one_intent_one_version_bump():
     kernel.run_process(
         repo.add_many("coll", _specs(5, home="s1"), window=1, batch_size=5))
     wal = world.server(PRIMARY).wal
-    batches = [r for r in wal.records if r.kind == "add-batch"]
+    batches = [r for r in wal.records if r.kind == "add"]
     assert len(batches) == 1
     [record] = batches
     assert record.status is APPLIED
@@ -177,15 +177,19 @@ def test_erase_batch_is_one_intent_one_version_bump():
     kernel.run_process(
         repo.remove_many("coll", elements[:4], window=1, batch_size=4))
     wal = world.server(PRIMARY).wal
-    batches = [r for r in wal.records if r.kind == "erase-batch"]
+    batches = [r for r in wal.records if r.kind == "erase"]
     assert len(batches) == 1 and batches[0].status is APPLIED
     assert state.version == before + 1
 
 
-def test_add_members_rejects_conflicts_before_mutating():
+@pytest.mark.parametrize("clash", ["member", "in-batch"])
+def test_add_members_rejects_conflicts_before_mutating(clash):
     kernel, net, world, elements = standard_world(members=2)
     repo = Repository(world, CLIENT)
-    specs = [AddSpec("fresh"), AddSpec(elements[0].name, value="other")]
+    # the second spec's name clashes with a current member, or with the
+    # first spec of the same batch (a distinct element, same name)
+    taken = elements[0].name if clash == "member" else "fresh"
+    specs = [AddSpec("fresh"), AddSpec(taken, value="other")]
 
     def proc():
         try:
@@ -362,7 +366,7 @@ def test_crash_mid_add_batch_replays_item_precisely():
         "coll", _specs(6, home=PRIMARY), window=1, batch_size=6,
         on_failure="skip"))
     [record] = server.wal.pending()
-    assert record.kind == "add-batch"
+    assert record.kind == "add"
     assert record.done("b003:added") and not record.done("b004:added")
     kernel.run(until=kernel.now + 10.0)
     assert server.wal.pending() == []
@@ -392,7 +396,7 @@ def test_crash_mid_erase_batch_rolls_forward():
 
     kernel.run_process(proc())
     [record] = server.wal.pending()
-    assert record.kind == "erase-batch" and record.status is PENDING
+    assert record.kind == "erase" and record.status is PENDING
     kernel.run(until=kernel.now + 10.0)
     assert server.wal.pending() == []
     # acked-or-crashed removals are rolled forward, never resurrected
@@ -402,7 +406,7 @@ def test_crash_mid_erase_batch_rolls_forward():
 
 
 def test_clean_failure_mid_erase_batch_commits_prefix():
-    """A *clean* RPC failure (no crash) mid erase-batch commits the
+    """A *clean* RPC failure (no crash) mid batch erase commits the
     fully-erased prefix and leaves the rest members — removal is
     idempotent, the caller just retries."""
     kernel, net, world, elements = standard_world(members=4)
