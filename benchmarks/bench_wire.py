@@ -1,7 +1,23 @@
-"""E25 — the real wire: codec bytes, bandwidth, byte-aware batching."""
+"""E25 — the real wire: codec bytes, bandwidth, byte-aware batching.
+
+E25a guards the cost of sizing: the transport stamps every message
+with ``WireFormat.measure``, which must stay a size-only pass rather
+than an encode.  The gate is a ratio measured back to back on one
+machine (never absolute seconds), so it travels across runners.
+"""
+
+import time
+from dataclasses import replace
 
 from repro.bench import run_wire
 from repro.bench.artifact import record_result
+from repro.bench.report import ExperimentResult
+from repro.net import WireFormat
+from repro.wan import PopulationEngine, PopulationSpec, Stage, default_behaviors
+from repro.wan.workload import ScenarioSpec, build_scenario
+
+#: Floor for measure-vs-encode speedup on the population corpus.
+MIN_SIZING_SPEEDUP = 2.0
 
 
 def test_e25_wire(benchmark):
@@ -61,3 +77,66 @@ def test_e25_wire(benchmark):
     # same seed, same bytes — the wire is deterministic
     det = by_mode["determinism"][0]
     assert det["throughput"] == 1.0 and det["violations"] == 0
+
+
+def population_corpus(seed: int = 1) -> list:
+    """Every message a short seeded population run sends (E22's world
+    and session mix: membership reads, 2 KB object fetches, writes)."""
+    scenario = build_scenario(ScenarioSpec(heavy_tail=True), seed=seed)
+    transport = scenario.net.transport
+    sent: list = []
+    send = transport.send
+
+    def record(msg):
+        sent.append(msg)
+        return send(msg)
+
+    transport.send = record
+    PopulationEngine(scenario, PopulationSpec(
+        behaviors=default_behaviors(scenario),
+        stages=(Stage(duration=10.0, arrival_rate=40.0),))).run()
+    return sent
+
+
+def _best_of(repeats: int, run) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_e25a_sizing_speedup(benchmark):
+    corpus = population_corpus()
+    codec = WireFormat().codec
+
+    def encode_all():
+        return [len(codec.encode_message(replace(
+            msg, msg_id=1, reply_to=None if msg.reply_to is None else 1,
+            wire_size=None))) for msg in corpus]
+
+    def measure_all():
+        # a fresh wire format per pass: its memo starts empty, as a
+        # new world's does
+        return list(map(WireFormat().measure, corpus))
+
+    def run():
+        assert measure_all() == encode_all() == [m.wire_size for m in corpus]
+        return _best_of(5, encode_all) / _best_of(5, measure_all)
+
+    speedup = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = ExperimentResult(
+        "E25a", "Sizing cost guard: WireFormat.measure vs encode-then-len",
+        columns=["corpus", "messages", "bytes"],
+        notes="speedup is machine-relative and lives in the metrics "
+              "attachment; the committed floor is asserted, wall times "
+              "are not",
+    )
+    result.add(corpus="population seed 1", messages=len(corpus),
+               bytes=sum(m.wire_size for m in corpus))
+    record_result(result, metrics={"measure_vs_encode_speedup":
+                                   round(speedup, 2)})
+    print(f"\n[E25a] measure vs encode-then-len: {speedup:.2f}x "
+          f"on {len(corpus)} messages")
+    assert speedup >= MIN_SIZING_SPEEDUP

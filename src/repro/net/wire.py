@@ -19,6 +19,15 @@ message an honest size:
     anything the schema does not know falls back to a length-prefixed
     pickle so encoding stays total.
 
+    ``encode_message``/``decode_message`` serve round-trips.  Sizing
+    never encodes: ``message_size`` is a size-only pass that sums tag
+    bytes, varint widths and UTF-8 lengths under the same intern table,
+    handing only rare shapes (deltas, failures, sets, non-empty dicts,
+    pickles) to the encoder on a scratch buffer, so there is one schema.
+    Tuples of elements — membership replies, which repeat until the
+    membership changes — are sized through a memo owned by the
+    :class:`WireFormat`, so it lives and dies with one world.
+
 :class:`NaiveCodec`
     The honesty baseline: a pickle-size estimator standing in for
     "just serialize the Python objects".  E25 gates the compact codec
@@ -35,9 +44,10 @@ message an honest size:
     service time, now the bytes travel (and queue) on the links.
 
 :class:`WireFormat`
-    The per-transport bundle: which codec measures messages, and the
+    The per-transport bundle: which codec measures messages, the
     sender-side serialisation rate (bytes/second of CPU charged before
-    the first bit hits the first link).
+    the first bit hits the first link), and the bounded memo of
+    element-tuple sizes the compact codec's size pass consults.
 
 Bandwidth presets (``lan`` / ``wan`` / ``mobile``) give scenarios a
 one-word dial for constrained links; :func:`apply_bandwidth_preset`
@@ -49,6 +59,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import (
@@ -152,6 +163,11 @@ def decode_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         if not b & 0x80:
             return value, pos
         shift += 7
+
+
+def _uvarint_len(n: int) -> int:
+    """Bytes :func:`encode_uvarint` writes for ``n >= 0``."""
+    return (n.bit_length() + 6) // 7 or 1
 
 
 def _zigzag(n: int) -> int:
@@ -301,40 +317,51 @@ class CompactCodec:
     """Tag-dispatched compact binary encoding with size accounting.
 
     Stateless and shareable: the per-message string-intern table lives
-    on the stack of each ``encode_message``/``decode_message`` call.
+    on the stack of each ``encode_message``/``decode_message``/
+    ``message_size`` call, and the element-tuple memo is passed in by
+    its owner (a :class:`WireFormat`).
     """
 
     name = "compact"
 
     # -- public API ------------------------------------------------------
-    def message_size(self, msg: Message) -> int:
-        return len(self.encode_message(msg))
+    def message_size(self, msg: Message, memo: Optional[dict] = None) -> int:
+        """``len(encode_message(m))`` for ``m`` = ``msg`` with canonical
+        envelope ids (``msg_id`` 1, ``reply_to`` 1 when set), computed
+        without encoding.
+
+        ``memo`` (optional, owned by the caller and bounded here) maps
+        ``(ids of a tuple's items, interned strings so far)`` to the
+        tuple, its size and the intern entries it added.  It is keyed by
+        identity, never by value: ``Element`` equality ignores
+        ``replicas``, which do change the size.  The stored tuple keeps
+        the keyed ids alive, so an id in a key cannot be reused.
+        """
+        interns: dict[str, int] = {}
+        flags, base, method_id = _envelope(msg)
+        size = 2                           # flags + msg_id 1
+        if flags & _F_HAS_REPLY_TO:
+            size += 1                      # reply_to 1
+        if flags & _F_PRIORITY:
+            size += _uvarint_len(msg.priority)
+        str_size = self._str_size
+        size += (str_size(msg.src.node, interns)
+                 + str_size(msg.src.service, interns)
+                 + str_size(msg.dst.node, interns)
+                 + str_size(msg.dst.service, interns))
+        if method_id is not None:
+            size += _uvarint_len(method_id)
+        else:
+            size += str_size(base, interns)
+        return size + self._value_size(msg.payload, interns, memo)
 
     def payload_size(self, obj: Any) -> int:
-        out = bytearray()
-        self._encode_value(obj, out, {})
-        return len(out)
+        return self._value_size(obj, {}, None)
 
     def encode_message(self, msg: Message) -> bytes:
         out = bytearray()
         interns: dict[str, int] = {}
-        flags = 0
-        base = msg.method
-        if msg.is_reply:
-            flags |= _F_IS_REPLY
-            if base.endswith("!ok"):
-                flags |= _F_REPLY_OK
-                base = base[:-3]
-            elif base.endswith("!error"):
-                flags |= _F_REPLY_ERROR
-                base = base[:-6]
-        if msg.reply_to is not None:
-            flags |= _F_HAS_REPLY_TO
-        if msg.priority != PRIORITY_NORMAL:
-            flags |= _F_PRIORITY
-        method_id = _METHOD_IDS.get(base)
-        if method_id is not None:
-            flags |= _F_METHOD_ID
+        flags, base, method_id = _envelope(msg)
         out.append(flags)
         encode_uvarint(msg.msg_id, out)
         if msg.reply_to is not None:
@@ -400,6 +427,15 @@ class CompactCodec:
         encode_uvarint(len(raw), out)
         out += raw
         interns[s] = len(interns)
+
+    @staticmethod
+    def _str_size(s: str, interns: dict[str, int]) -> int:
+        index = interns.get(s)
+        if index is not None:
+            return 2 if index < 0x80 else 1 + _uvarint_len(index)
+        n = len(s) if s.isascii() else len(s.encode("utf-8"))
+        interns[s] = len(interns)
+        return n + 2 if n < 0x80 else 1 + _uvarint_len(n) + n
 
     def _decode_str(self, data: bytes, pos: int,
                     interns: list[str]) -> tuple[str, int]:
@@ -467,6 +503,69 @@ class CompactCodec:
             encode_uvarint(len(raw), out)
             out += raw
 
+    def _value_size(self, obj: Any, interns: dict[str, int],
+                    memo: Optional[dict]) -> int:
+        """Bytes ``_encode_value`` writes for ``obj``, interning alike.
+
+        Common shapes are summed arithmetically; the rare ones are
+        encoded into a scratch buffer, so the encoder stays the only
+        statement of the schema.
+        """
+        cls = type(obj)
+        if cls is str:
+            return self._str_size(obj, interns)
+        if cls is tuple or cls is list:
+            if memo is not None and cls is tuple and obj \
+                    and _is_element(obj[0]):
+                size = self._elements_size(obj, interns, memo)
+                if size is not None:
+                    return size
+            size = 1 + _uvarint_len(len(obj))
+            for item in obj:
+                size += self._value_size(item, interns, memo)
+            return size
+        if cls is int:
+            return 2 if -0x40 <= obj < 0x40 else 1 + _uvarint_len(_zigzag(obj))
+        if obj is None or cls is bool:
+            return 1
+        if cls is float:
+            return 9
+        if cls is bytes:
+            return 1 + _uvarint_len(len(obj)) + len(obj)
+        if cls is dict and not obj:
+            return 2
+        if isinstance(obj, Blob):
+            declared = max(0, obj.size)
+            body = self._value_size(obj.value, interns, memo)
+            return 1 + _uvarint_len(declared) + max(body, declared)
+        if _is_element(obj):
+            return self._element_size(obj, interns)
+        scratch = bytearray()
+        self._encode_value(obj, scratch, interns)
+        return len(scratch)
+
+    def _elements_size(self, items: tuple, interns: dict[str, int],
+                       memo: dict) -> Optional[int]:
+        """Size of a tuple of elements through ``memo``; None if some
+        item is not an element."""
+        key = (tuple(map(id, items)), tuple(interns))
+        hit = memo.get(key)
+        if hit is not None:
+            _items, size, added = hit
+            interns.update(added)          # replay the interning
+            return size
+        if not all(map(_is_element, items)):
+            return None
+        before = len(interns)
+        size = 1 + _uvarint_len(len(items))
+        for item in items:
+            size += self._element_size(item, interns)
+        if len(memo) >= MEMO_LIMIT:
+            del memo[next(iter(memo))]     # evict the oldest entry
+        memo[key] = (items, size,
+                     dict(islice(interns.items(), before, None)))
+        return size
+
     def _decode_value(self, data: bytes, pos: int,
                       interns: list[str]) -> tuple[Any, int]:
         tag = data[pos]
@@ -526,13 +625,9 @@ class CompactCodec:
                         interns: dict[str, int]) -> None:
         out.append(_T_ELEMENT)
         flags = 0
-        counter: Optional[int] = None
-        prefix = element.name + "-"
-        if element.oid.startswith(prefix):
-            rest = element.oid[len(prefix):]
-            if rest.isdigit() and (rest == "0" or not rest.startswith("0")):
-                counter = int(rest)
-                flags |= _EF_DERIVED_OID
+        counter = _derived_counter(element)
+        if counter is not None:
+            flags |= _EF_DERIVED_OID
         if element.replicas:
             flags |= _EF_REPLICAS
         out.append(flags)
@@ -546,6 +641,22 @@ class CompactCodec:
             encode_uvarint(len(element.replicas), out)
             for replica in element.replicas:
                 self._encode_str(replica, out, interns)
+
+    def _element_size(self, element: Any, interns: dict[str, int]) -> int:
+        str_size = self._str_size
+        size = 2 + str_size(element.name, interns)     # tag + flags
+        counter = _derived_counter(element)
+        if counter is not None:
+            size += _uvarint_len(counter)
+        else:
+            size += str_size(element.oid, interns)
+        size += str_size(element.home, interns)
+        replicas = element.replicas
+        if replicas:
+            size += _uvarint_len(len(replicas))
+            for replica in replicas:
+                size += str_size(replica, interns)
+        return size
 
     def _decode_element(self, data: bytes, pos: int,
                         interns: list[str]) -> tuple[Any, int]:
@@ -730,6 +841,53 @@ class CompactCodec:
         return cls(message), pos
 
 
+#: entries a :class:`WireFormat`'s element-tuple size memo holds before
+#: it evicts the oldest.  Live membership snapshots are few: 16 to 128
+#: entries give the same hit rate on population and overload traffic.
+MEMO_LIMIT = 32
+
+
+def _envelope(msg: Message) -> tuple[int, str, Optional[int]]:
+    """A message's header flags, base method and method id (or None)."""
+    flags = 0
+    base = msg.method
+    if msg.is_reply:
+        flags |= _F_IS_REPLY
+        if base.endswith("!ok"):
+            flags |= _F_REPLY_OK
+            base = base[:-3]
+        elif base.endswith("!error"):
+            flags |= _F_REPLY_ERROR
+            base = base[:-6]
+    if msg.reply_to is not None:
+        flags |= _F_HAS_REPLY_TO
+    if msg.priority != PRIORITY_NORMAL:
+        flags |= _F_PRIORITY
+    method_id = _METHOD_IDS.get(base)
+    if method_id is not None:
+        flags |= _F_METHOD_ID
+    return flags, base, method_id
+
+
+def _derived_counter(element: Any) -> Optional[int]:
+    """``n`` when ``element.oid == f"{element.name}-{n}"`` (the
+    ``fresh_oid`` shape), else None.
+
+    Only ASCII digits without a leading zero qualify, so the decoder's
+    ``f"{name}-{n}"`` rebuilds the oid exactly: ``int()`` also accepts
+    other Unicode decimal digits ("٣" -> 3), and ``str.isdigit`` also
+    accepts digits ``int()`` rejects ("²").
+    """
+    prefix = element.name + "-"
+    oid = element.oid
+    if not oid.startswith(prefix):
+        return None
+    rest = oid[len(prefix):]
+    if rest.isascii() and rest.isdigit() and (rest == "0" or rest[0] != "0"):
+        return int(rest)
+    return None
+
+
 def _is_element(obj: Any) -> bool:
     # Structural check instead of an import: net must stay importable
     # without the store layer (the Element import in decode is lazy).
@@ -760,8 +918,15 @@ class NaiveCodec:
 
     name = "naive"
 
-    def message_size(self, msg: Message) -> int:
-        return len(self.encode_message(msg)) + _blob_extra(msg.payload)
+    def message_size(self, msg: Message, memo: Optional[dict] = None) -> int:
+        """Pickled length of ``msg`` with canonical envelope ids (see
+        :meth:`CompactCodec.message_size`) plus declared Blob bodies;
+        ``memo`` is accepted for interface parity and unused."""
+        canonical = replace(
+            msg, msg_id=1,
+            reply_to=None if msg.reply_to is None else 1,
+            wire_size=None)
+        return len(self.encode_message(canonical)) + _blob_extra(msg.payload)
 
     def payload_size(self, obj: Any) -> int:
         return len(pickle.dumps(obj, protocol=4)) + _blob_extra(obj)
@@ -808,19 +973,19 @@ class WireFormat:
 
     codec: Any = field(default_factory=CompactCodec)
     serialize_rate: float = 0.0
+    #: the codec's element-tuple size memo: one per wire format, hence
+    #: per world, and bounded by :data:`MEMO_LIMIT`
+    size_memo: dict = field(default_factory=dict, init=False,
+                            repr=False, compare=False)
 
     def measure(self, msg: Message) -> int:
-        # Measure against canonical envelope ids: msg_id comes from a
-        # process-global counter, so its varint width (or pickled
-        # length) would otherwise depend on how many messages the
-        # *process* — not the scenario — had already sent, breaking
+        # Codecs measure against canonical envelope ids: msg_id comes
+        # from a process-global counter, so its varint width (or
+        # pickled length) would otherwise depend on how many messages
+        # the *process* — not the scenario — had already sent, breaking
         # seed-deterministic byte counts.  A real wire's message ids
         # are per-connection sequence numbers of fixed small width.
-        canonical = replace(
-            msg, msg_id=1,
-            reply_to=None if msg.reply_to is None else 1,
-            wire_size=None)
-        return self.codec.message_size(canonical)
+        return self.codec.message_size(msg, self.size_memo)
 
     def serialize_delay(self, size: int) -> float:
         if self.serialize_rate <= 0 or size <= 0:
